@@ -187,16 +187,6 @@ func BenchmarkSelectGreedy(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectCELF(b *testing.B) {
-	e := scenario3Evaluator(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Select(e, core.Config{BufferWidth: 32, Method: core.CELF}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSelectBranchBound(b *testing.B) {
 	e := scenario3Evaluator(b)
 	b.ResetTimer()

@@ -10,7 +10,7 @@
 //	benchratchet -parse bench.txt       # ingest existing `go test -bench` output
 //
 // The benchmark set defaults to the selector quartet the ratchet exists
-// for — the exhaustive scan, the Fig. 5 end-to-end pipeline, CELF, and
+// for — the exhaustive scan, the Fig. 5 end-to-end pipeline, greedy, and
 // branch-and-bound — so a pruning or registry change that slows selection
 // shows up as a number, not a hunch. Like tracelint's driver, the tool
 // shells out to the go command itself (zero dependencies).
@@ -45,7 +45,7 @@ var errUsage = fmt.Errorf("usage")
 
 // defaultBench is the ratcheted benchmark set: the selector strategies plus
 // the end-to-end Fig. 5 pipeline they sit inside.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectCELF$|BenchmarkSelectBranchBound$"
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.
@@ -145,7 +145,7 @@ func runBench(dir, bench, benchtime string) (map[string]Result, error) {
 // parseBench extracts per-benchmark metrics from `go test -bench -benchmem`
 // output. A line looks like
 //
-//	BenchmarkSelectCELF-4   77840   2658 ns/op   1984 B/op   31 allocs/op
+//	BenchmarkSelectGreedy-4   77840   2658 ns/op   1984 B/op   31 allocs/op
 //
 // the -4 suffix is the GOMAXPROCS decoration and is stripped, so reports
 // from machines with different core counts compare under the same keys.

@@ -14,7 +14,7 @@ pkg: tracescale
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFig5              	    1531	    176932 ns/op	  187777 B/op	    1680 allocs/op
 BenchmarkSelectExhaustive  	    7602	     31571 ns/op	    1416 B/op	      18 allocs/op
-BenchmarkSelectCELF-4      	   77840	      2658 ns/op	    1984 B/op	      31 allocs/op
+BenchmarkSelectGreedy-4    	   77840	      2658 ns/op	    1984 B/op	      31 allocs/op
 BenchmarkSelectBranchBound-16	   91202	      2823 ns/op	    1832 B/op	      31 allocs/op
 PASS
 ok  	tracescale	1.270s
@@ -30,12 +30,12 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	// GOMAXPROCS suffixes (-4, -16) are stripped so keys are stable across
 	// machines.
-	celf, ok := results["BenchmarkSelectCELF"]
+	greedy, ok := results["BenchmarkSelectGreedy"]
 	if !ok {
-		t.Fatalf("BenchmarkSelectCELF missing (keys: %v)", results)
+		t.Fatalf("BenchmarkSelectGreedy missing (keys: %v)", results)
 	}
-	if celf.NsPerOp != 2658 || celf.BytesPerOp != 1984 || celf.AllocsPerOp != 31 {
-		t.Errorf("celf = %+v, want 2658 ns / 1984 B / 31 allocs", celf)
+	if greedy.NsPerOp != 2658 || greedy.BytesPerOp != 1984 || greedy.AllocsPerOp != 31 {
+		t.Errorf("greedy = %+v, want 2658 ns / 1984 B / 31 allocs", greedy)
 	}
 	if ex := results["BenchmarkSelectExhaustive"]; ex.NsPerOp != 31571 || ex.AllocsPerOp != 18 {
 		t.Errorf("exhaustive = %+v", ex)
@@ -113,7 +113,7 @@ func TestRunParseModeEndToEnd(t *testing.T) {
 	if err == nil {
 		t.Fatalf("a 3.7x ns/op regression passed the ratchet:\n%s", buf.String())
 	}
-	if !strings.Contains(err.Error(), "regressed") || !strings.Contains(buf.String(), "REGRESS  BenchmarkSelectCELF") {
+	if !strings.Contains(err.Error(), "regressed") || !strings.Contains(buf.String(), "REGRESS  BenchmarkSelectGreedy") {
 		t.Errorf("err = %v, report:\n%s", err, buf.String())
 	}
 }

@@ -14,9 +14,9 @@
 // Message sets: mi (the paper's Steps 1-3 selection), widest (widest-first
 // structural baseline), pagerank (PRNet-style message-dependency PageRank),
 // random (seeded random feasible set), or any registered selection method
-// name (exhaustive, knapsack, greedy, max-coverage, celf, branch-bound,
+// name (exhaustive, knapsack, greedy, max-coverage, branch-bound,
 // reconstruct) to score that Step-2 strategy's selection, e.g.
-// -sets mi,celf,branch-bound. The default grid scores mi against the
+// -sets mi,greedy,branch-bound. The default grid scores mi against the
 // ambiguity-minimizing reconstruct selection and the structural baselines,
 // and every scorecard carries the set's expected reconstruction ambiguity
 // (mean.amb) next to its localization rates — the MI-vs-ambiguity
@@ -328,7 +328,7 @@ func tracedFor(name string, ses *pipeline.Session, seed int64) ([]string, error)
 		return c.Messages, nil
 	}
 	// Any registered core selection method is a valid set name too: "mi"
-	// under that Step-2 strategy (e.g. knapsack, celf, branch-bound), so
+	// under that Step-2 strategy (e.g. knapsack, greedy, branch-bound), so
 	// campaigns can score the scalable selectors against the exhaustive
 	// reference.
 	m, err := core.ParseMethod(name)

@@ -108,7 +108,7 @@ func TestRunFlagHandling(t *testing.T) {
 // TestExportSynthSelectsAtScale drives the README's 120-message
 // quickstart end to end: -export-synth emits a parseable spec whose
 // universe is exactly 120 messages, the exhaustive method refuses it at its
-// MaxCandidates guard, and the scalable selectors (branch-bound, celf)
+// MaxCandidates guard, and the scalable selectors (branch-bound, greedy)
 // select within the 32-bit budget.
 func TestExportSynthSelectsAtScale(t *testing.T) {
 	var out bytes.Buffer
@@ -128,7 +128,7 @@ func TestExportSynthSelectsAtScale(t *testing.T) {
 		t.Fatalf("exhaustive on 120 messages: err = %v, want the MaxCandidates refusal", err)
 	}
 
-	for _, method := range []string{"branch-bound", "celf"} {
+	for _, method := range []string{"branch-bound", "greedy"} {
 		var sel bytes.Buffer
 		if err := run([]string{"-spec", path, "-method", method}, &sel); err != nil {
 			t.Fatalf("%s on 120 messages: %v", method, err)

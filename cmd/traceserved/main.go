@@ -8,9 +8,9 @@
 // / -export-synth JSON, optionally with "method", "width", "noPack",
 // "maxCandidates", "workers", "keepCandidates" fields alongside) returns
 // the selection as JSON; "method" accepts every registered strategy name
-// (exhaustive, knapsack, greedy, max-coverage, celf, branch-bound,
-// reconstruct), and an option the method cannot honor is a 422, not
-// silently ignored. GET /healthz answers ok; GET /metrics snapshots the
+// (exhaustive, knapsack, greedy, max-coverage, branch-bound, reconstruct),
+// and an option the method cannot honor is a 422, not silently ignored.
+// "workers" is an upper bound, clamped to GOMAXPROCS. GET /healthz answers ok; GET /metrics snapshots the
 // service's observability registry.
 //
 // POST /select/batch runs many option sets against one scenario in a
@@ -24,13 +24,6 @@
 // remain consistent with the observation? The reply carries the exact
 // count (or a "beam"-mode lower bound), the per-step survivor profile,
 // and up to "maxWitnesses" explicit witness executions.
-//
-// The daemon also runs distributed: start workers with -worker (they serve
-// POST /shard) and point a coordinator at them with -workers-list
-// http://host:port,... — sharding methods then fan their scan out to the
-// fleet, with per-shard timeouts (-shard-timeout), bounded retries
-// (-shard-retries), and a local fallback when the fleet is unreachable.
-// Distributed selections are byte-identical to local ones.
 //
 // Overload is shed with 429 (never queued), request bodies are capped,
 // selections run under a per-request timeout, and SIGINT/SIGTERM drains
@@ -48,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -78,19 +70,15 @@ var errUsage = fmt.Errorf("usage")
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("traceserved", flag.ContinueOnError)
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8344", "listen address (use :0 for any free port)")
-		inflight     = fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent selections before 429")
-		maxBody      = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "request body cap in bytes")
-		timeout      = fs.Duration("timeout", 30*time.Second, "per-request selection timeout (0 = none)")
-		cacheCap     = fs.Int("cache-capacity", 64, "session cache capacity (0 = unbounded)")
-		drainWait    = fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight requests")
-		worker       = fs.Bool("worker", false, "serve POST /shard for a coordinator instead of /select")
-		workersList  = fs.String("workers-list", "", "comma-separated worker base URLs to fan shard tasks out to")
-		shardTimeout = fs.Duration("shard-timeout", serve.DefaultShardTimeout, "per-shard remote attempt timeout")
-		shardRetries = fs.Int("shard-retries", serve.DefaultShardRetries, "extra attempts per failed shard before local fallback")
-		storeDir     = fs.String("store-dir", "", "directory to spill the result store to (empty = memory only)")
-		storeCap     = fs.Int("store-capacity", 512, "in-memory result store capacity (0 = unbounded)")
-		maxBatch     = fs.Int("max-batch", serve.DefaultMaxBatch, "option sets per /select/batch request")
+		addr      = fs.String("addr", "127.0.0.1:8344", "listen address (use :0 for any free port)")
+		inflight  = fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent selections before 429")
+		maxBody   = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "request body cap in bytes")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request selection timeout (0 = none)")
+		cacheCap  = fs.Int("cache-capacity", 64, "session cache capacity (0 = unbounded)")
+		drainWait = fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight requests")
+		storeDir  = fs.String("store-dir", "", "directory to spill the result store to (empty = memory only)")
+		storeCap  = fs.Int("store-capacity", 512, "in-memory result store capacity (0 = unbounded)")
+		maxBatch  = fs.Int("max-batch", serve.DefaultMaxBatch, "option sets per /select/batch request")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -99,19 +87,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fs.Usage()
 		return errUsage
 	}
-	var workers []string
-	if *workersList != "" {
-		for _, u := range strings.Split(*workersList, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				workers = append(workers, strings.TrimRight(u, "/"))
-			}
-		}
-	}
-	if *worker && len(workers) > 0 {
-		fmt.Fprintln(os.Stderr, "traceserved: -worker and -workers-list are mutually exclusive")
-		return errUsage
-	}
-
 	reg := obs.NewRegistry()
 	store, err := pipeline.NewResultStore(reg, *storeCap, *storeDir)
 	if err != nil {
@@ -123,10 +98,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		MaxInFlight:    *inflight,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
-		Worker:         *worker,
-		Workers:        workers,
-		ShardTimeout:   *shardTimeout,
-		ShardRetries:   *shardRetries,
 		Store:          store,
 		MaxBatch:       *maxBatch,
 	})

@@ -29,7 +29,7 @@
 // Four interprocedural analyzers run over the merged fact sets of the whole
 // package graph (the two-phase facts engine — see facts.go, callgraph.go):
 //
-//   - detflow: nondeterminism taint must not reach Result/ShardResult
+//   - detflow: nondeterminism taint must not reach core.Result
 //     construction or encoding/json marshalling in
 //     internal/{core,interleave,serve,pipeline} without an intervening
 //     sort/canonicalization — detrange generalized across call boundaries.

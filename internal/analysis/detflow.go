@@ -8,11 +8,10 @@ import "path/filepath"
 // nondeterminism source (map-range order escaping the loop, a wall-clock
 // read, a global math/rand draw) with no canonicalizing frame (a call into
 // package sort or slices) in between. A tainted function in
-// core/interleave/serve/pipeline that constructs a core.Result or
-// core.ShardResult, or marshals through encoding/json, is a finding: the
-// bytes it emits depend on an ordering no replay can reproduce, which is
-// exactly the distributed ≡ local ≡ serial invariant the differential
-// tests pin after the fact.
+// core/interleave/serve/pipeline that constructs a core.Result, or
+// marshals through encoding/json, is a finding: the bytes it emits depend
+// on an ordering no replay can reproduce, which is exactly the parallel ≡
+// serial invariant the differential tests pin after the fact.
 //
 // Source sites carrying a //lint:ignore for their native analyzer
 // (clockrand, detrange) or for detflow itself do not generate taint — a
@@ -22,7 +21,7 @@ import "path/filepath"
 // order-independent.
 var DetFlow = &Analyzer{
 	Name:      "detflow",
-	Doc:       "nondeterminism sources must not reach Result/ShardResult construction or JSON marshalling without an intervening sort",
+	Doc:       "nondeterminism sources must not reach Result construction or JSON marshalling without an intervening sort",
 	Scope:     []string{"core", "interleave", "serve", "pipeline"},
 	GlobalRun: runDetFlow,
 }

@@ -32,9 +32,8 @@ const (
 
 // Sink kinds: where detflow forbids tainted data to arrive.
 const (
-	SinkResult      = "result"      // core.Result composite literal
-	SinkShardResult = "shardresult" // core.ShardResult composite literal
-	SinkMarshal     = "marshal"     // encoding/json marshal or Encoder.Encode
+	SinkResult  = "result"  // core.Result composite literal
+	SinkMarshal = "marshal" // encoding/json marshal or Encoder.Encode
 )
 
 // Site is one fact anchored to a source position.
@@ -100,7 +99,7 @@ type LoopSite struct {
 // FuncFacts summarizes one declared function or method.
 type FuncFacts struct {
 	ID      string // canonical cross-package identifier
-	Short   string // display name, e.g. RunShard or (*HTTPRunner).RunShard
+	Short   string // display name, e.g. Select or (*Handler).ServeHTTP
 	PkgPath string
 	Pos     token.Position
 
@@ -494,7 +493,7 @@ func hasSortCall(pass *Pass, body *ast.BlockStmt) bool {
 }
 
 // collectSinks records the determinism-critical constructions: core Result
-// and ShardResult composite literals, and encoding/json marshalling.
+// composite literals and encoding/json marshalling.
 func (c *collector) collectSinks(ff *FuncFacts, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
@@ -503,14 +502,10 @@ func (c *collector) collectSinks(ff *FuncFacts, body *ast.BlockStmt) {
 			if t == nil {
 				return true
 			}
-			if name, ok := coreResultType(t); ok {
-				kind := SinkResult
-				if name == "ShardResult" {
-					kind = SinkShardResult
-				}
+			if coreResultType(t) {
 				pos := c.position(e.Pos())
 				ff.Sinks = append(ff.Sinks, Site{
-					Pos: pos, Kind: kind, Detail: "core." + name,
+					Pos: pos, Kind: SinkResult, Detail: "core.Result",
 					Ignored: c.ignoredAt(pos, "detflow"),
 				})
 			}
@@ -528,22 +523,19 @@ func (c *collector) collectSinks(ff *FuncFacts, body *ast.BlockStmt) {
 	sortSites(ff.Sinks)
 }
 
-// coreResultType reports whether t is the Result or ShardResult struct of a
-// core package (matched by import-path tail, like the obs Registry match).
-func coreResultType(t types.Type) (string, bool) {
+// coreResultType reports whether t is the Result struct of a core package
+// (matched by import-path tail, like the obs Registry match).
+func coreResultType(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
-		return "", false
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || (obj.Name() != "Result" && obj.Name() != "ShardResult") {
-		return "", false
+	if obj.Pkg() == nil || obj.Name() != "Result" {
+		return false
 	}
 	path := obj.Pkg().Path()
-	if path == "core" || strings.HasSuffix(path, "/core") {
-		return obj.Name(), true
-	}
-	return "", false
+	return path == "core" || strings.HasSuffix(path, "/core")
 }
 
 // jsonMarshalCall matches json.Marshal / json.MarshalIndent and

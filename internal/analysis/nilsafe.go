@@ -22,12 +22,10 @@ var NilSafe = &Analyzer{
 
 // nilContractTypes are the types outside internal/obs that carry the same
 // documented nil-is-a-no-op contract: a nil *ResultStore stores nothing and
-// misses every Get; a nil *HTTPRunner degrades to the local runner. Inside
-// obs the contract covers every exported pointer-receiver method, so no
-// allowlist applies there.
+// misses every Get. Inside obs the contract covers every exported
+// pointer-receiver method, so no allowlist applies there.
 var nilContractTypes = map[string]bool{
 	"ResultStore": true,
-	"HTTPRunner":  true,
 }
 
 // runNilSafe reports the unguarded-method sites the collector recorded,

@@ -5,14 +5,14 @@ package analysis
 // graph) from an HTTP handler in internal/serve must
 //
 //   - call DisallowUnknownFields on the decoder before decoding — unknown
-//     fields in a request or a worker reply are a protocol drift or an
-//     attack, never something to silently drop; and
+//     fields in a request are a protocol drift or an attack, never
+//     something to silently drop; and
 //   - sit in a function that validates what it decoded: the decoding
 //     function itself, or every one of its direct callers, must make a
 //     validation-shaped call (a function or method whose name contains
 //     "valid") before the value escapes further.
 //
-// The rule generalizes what decodeShardResponse already does by hand, so
+// The rule generalizes what the request decoders already do by hand, so
 // the next endpoint cannot skip it. Decoders outside any handler's reach
 // (CLI config loading, test helpers) are not this analyzer's concern.
 var TrustBound = &Analyzer{

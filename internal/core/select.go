@@ -16,8 +16,8 @@ type Config struct {
 	DisablePacking bool
 	// MaxCandidates bounds the Step-2 search (default 1<<22): exhaustive
 	// enumeration fails rather than hang when the message universe is too
-	// large for it — use Knapsack, CELF, or BranchBound there — and
-	// BranchBound caps explored search nodes per worker at the same bound.
+	// large for it — use Knapsack or BranchBound there — and BranchBound
+	// caps explored search nodes per worker at the same bound.
 	MaxCandidates int
 	// KeepCandidates retains every feasible candidate with its gain and
 	// coverage in Result.Candidates (needed for the Figure-5 correlation
@@ -31,13 +31,6 @@ type Config struct {
 	// same tie-breaks the serial scan applies, so parallelism never changes
 	// which candidate wins. Strategies that cannot shard reject Workers > 1.
 	Workers int
-	// Runner executes the shard tasks of a sharding strategy. Nil means
-	// LocalRunner (the in-process pool). A runner is a transport, not a
-	// knob: every conforming runner returns byte-identical shard results,
-	// so Select's outcome never depends on which one executed the scan —
-	// the session memo layer erases it from its key on the same grounds as
-	// Workers. Strategies that cannot shard reject a non-nil Runner.
-	Runner ShardRunner
 }
 
 // Candidate is one width-feasible message combination with its scores.

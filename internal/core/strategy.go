@@ -33,15 +33,6 @@ const (
 	// good selection metric, the max-gain combination should cover nearly
 	// as much as the coverage-greedy one.
 	MaxCoverage
-	// CELF is Greedy with lazy marginal-gain evaluation (Leskovec et al.'s
-	// cost-effective lazy forward selection): a priority queue holds
-	// possibly stale gain densities, and only the queue top is ever
-	// re-evaluated. Because the paper's gain metric is additive, CELF
-	// selects a byte-identical Candidate to Greedy while evaluating
-	// strictly fewer gains on any instance where more than one message
-	// still fits after the first pick (core.select.gain_evals pins the
-	// count on observed evaluators).
-	CELF
 	// BranchBound searches the message lattice depth-first in gain-density
 	// order, bounding each partial selection's best completion by the
 	// fractional-knapsack relaxation of the leftover budget and pruning
@@ -94,7 +85,6 @@ var registry = [...]Strategy{
 	Knapsack:    knapsackStrategy{},
 	Greedy:      greedyStrategy{},
 	MaxCoverage: maxCoverageStrategy{},
-	CELF:        celfStrategy{},
 	BranchBound: branchBoundStrategy{},
 	Reconstruct: reconstructStrategy{},
 }
@@ -179,10 +169,6 @@ func ValidateConfig(cfg Config) error {
 	}
 	if cfg.Workers > 1 && !caps.Workers {
 		return fmt.Errorf("core: method %s does not support Workers > 1 (supported by: %s)",
-			s.Name(), strings.Join(methodNamesWhere(func(c Capabilities) bool { return c.Workers }), ", "))
-	}
-	if cfg.Runner != nil && !caps.Workers {
-		return fmt.Errorf("core: method %s does not shard, so a ShardRunner cannot apply (supported by: %s)",
 			s.Name(), strings.Join(methodNamesWhere(func(c Capabilities) bool { return c.Workers }), ", "))
 	}
 	return nil

@@ -219,9 +219,7 @@ func (w *bbWorker) run(ctx context.Context, start, stride int) error {
 
 // newBBSearch builds the shared read-only search state: the gain-density
 // order (stable, so density ties keep ascending universe order) and the
-// budget/node-cap parameters. Remote shard workers rebuild this from their
-// own evaluator; the sort is deterministic over bit-identical gains, so
-// every process derives the same order.
+// budget/node-cap parameters.
 func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 	n := len(e.universe)
 	order := make([]int, n)
@@ -242,6 +240,25 @@ func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 	}
 }
 
+// mergeBranchBound folds the workers' incumbents in ascending root order
+// with the full comparator — strictly better wins, full ties keep the
+// lowest universe-order mask — and sums their node counts. Root deals are
+// interleaved, so unlike the exhaustive ranges the lowest-mask tie-break
+// does real work here.
+func mergeBranchBound(workers []*bbWorker) (best wideScored, found bool, nodes int64) {
+	for _, w := range workers {
+		nodes += w.nodes
+		if !w.found {
+			continue
+		}
+		if !found || wideBetter(w.best, best) || (wideTie(w.best, best) && w.best.mask.less(best.mask)) {
+			best = w.best
+			found = true
+		}
+	}
+	return best, found, nodes
+}
+
 // selectBranchBound is the exact Step-2 search without the 2^n sweep:
 // depth-first over the message lattice in gain-density order (each subset
 // visited at most once: a node's children extend it with strictly later
@@ -254,16 +271,15 @@ func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 // completion scores below the incumbent by more than the tie tolerance,
 // and the incumbent rule (strictly better wins, ties keep the lowest
 // universe-order mask) is the same order-independent comparator the
-// exhaustive shard merge applies — so the surviving winner is the
-// exhaustive winner, byte for byte, wherever exhaustive is feasible. The
+// exhaustive merge applies — so the surviving winner is the exhaustive
+// winner, byte for byte, wherever exhaustive is feasible. The
 // differential suite pins this, Workers 1 and 4, under -race.
 //
-// Workers shard root branches round-robin — one ShardTask per worker, task
-// w exploring roots w, w+workers, ... — dispatched through the Config's
-// ShardRunner (LocalRunner by default), each task with its own incumbent
-// and path state; the merge applies the full comparator in ascending root
-// order, so any worker count and any runner selects a byte-identical
-// result.
+// Workers deal root branches round-robin — worker w explores roots w,
+// w+workers, ... on its own goroutine, with its own incumbent and path
+// state over the shared read-only search — and the merge applies the full
+// comparator in ascending worker order, so any worker count selects a
+// byte-identical result.
 func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate, error) {
 	n := len(e.universe)
 	anyFits := false
@@ -289,24 +305,18 @@ func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate
 		workers = n
 	}
 
-	tasks := make([]ShardTask, workers)
-	for i := range tasks {
-		tasks[i] = ShardTask{
-			Method:   BranchBound,
-			Start:    i,
-			Stride:   workers,
-			MaxNodes: int64(cfg.MaxCandidates),
-			Budget:   cfg.BufferWidth,
-		}
+	s := newBBSearch(e, cfg.BufferWidth, int64(cfg.MaxCandidates))
+	ws := make([]*bbWorker, workers)
+	for i := range ws {
+		ws[i] = &bbWorker{s: s, path: newBitset(n), vis: newBitset(e.p.NumStates())}
 	}
-	results, errs := runShards(ctx, e, cfg.runner(), tasks, "select-branch-bound")
-	if err := collectShardErrs(ctx, e, errs); err != nil {
-		return Candidate{}, err
-	}
-	best, found, nodes, err := mergeBranchBoundShards(results, maskWords(BranchBound, n))
+	err := runShards(ctx, e, workers, "select-branch-bound", func(ctx context.Context, i int) error {
+		return ws[i].run(ctx, i, workers)
+	})
 	if err != nil {
 		return Candidate{}, err
 	}
+	best, found, nodes := mergeBranchBound(ws)
 	if reg := e.p.Obs(); reg != nil {
 		reg.Add("core.select.bb_nodes", nodes)
 		reg.Gauge("core.select.workers").Set(int64(workers))

@@ -121,25 +121,51 @@ func (e *Evaluator) candidateFromScored(s scored) Candidate {
 // share: the mask space cannot be enumerated, so the caller should switch
 // to a strategy that never materializes it.
 func errTooManyMasks(n, maxCandidates int) error {
-	return fmt.Errorf("core: 2^%d combinations exceed MaxCandidates=%d; use Knapsack, CELF, or BranchBound", n, maxCandidates)
+	return fmt.Errorf("core: 2^%d combinations exceed MaxCandidates=%d; use Knapsack or BranchBound", n, maxCandidates)
+}
+
+// exhaustiveShard is one mask range's scan outcome: the range's incumbent
+// and, when KeepCandidates asks for them, its feasible candidates in mask
+// order.
+type exhaustiveShard struct {
+	best  scored
+	found bool
+	all   []Candidate
+}
+
+// mergeExhaustiveShards folds shard outcomes in ascending range order under
+// the serial incumbent rule: strictly better wins, full ties keep the
+// lowest mask. Candidates concatenate in the same order, which is the
+// serial scan's mask order.
+func mergeExhaustiveShards(shards []exhaustiveShard) (best scored, found bool, all []Candidate) {
+	for _, s := range shards {
+		if !s.found {
+			continue
+		}
+		if !found || betterScored(s.best, best) || (tieScored(s.best, best) && s.best.mask < best.mask) {
+			best = s.best
+			found = true
+		}
+		all = append(all, s.all...)
+	}
+	return best, found, all
 }
 
 // selectExhaustive is Steps 1-2 as written in the paper: enumerate every
 // message combination with total width within the buffer, score each, keep
 // the best. The mask space [1, 2^n) is split into contiguous ascending
-// ranges — one ShardTask per worker — dispatched through the Config's
-// ShardRunner (LocalRunner when none is set, so the default is the
-// in-process pool); per-shard incumbents are merged in task order with the
-// serial scan's exact tie-breaks (equal-score candidates keep the lowest
-// mask), so any worker count and any runner — including a remote one —
-// selects a byte-identical result. The lowest-mask tie-break is what
-// reproduces the paper's choice of {ReqE, GntE} among the toy example's
-// three gain-tied pairs.
+// ranges, one per worker, each scanned by scanMasks on its own goroutine;
+// per-range incumbents are merged in range order with the serial scan's
+// exact tie-breaks (equal-score candidates keep the lowest mask), so any
+// worker count selects a byte-identical result. The lowest-mask tie-break
+// is what reproduces the paper's choice of {ReqE, GntE} among the toy
+// example's three gain-tied pairs.
 //
-// Cancelling ctx makes every shard abort at its next poll boundary; the
-// join then discards the partial incumbents and returns ctx's error, so a
-// cancelled selection never leaks a half-scanned result. Aborted shards
-// are tallied in core.select.shards_cancelled on observed evaluators.
+// Cancelling ctx makes every range scan abort at its next poll boundary;
+// the join then discards the partial incumbents and returns ctx's error,
+// so a cancelled selection never leaks a half-scanned result. Aborted
+// shards are tallied in core.select.shards_cancelled on observed
+// evaluators.
 func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	n := len(e.universe)
 	if n >= 63 {
@@ -167,24 +193,23 @@ func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate,
 		workers = int(end - 1)
 	}
 
-	tasks := make([]ShardTask, workers)
+	shards := make([]exhaustiveShard, workers)
 	span := (end - 1) / uint64(workers)
-	for w := 0; w < workers; w++ {
+	err := runShards(ctx, e, workers, "select-exhaustive", func(ctx context.Context, w int) error {
 		lo := 1 + uint64(w)*span
 		hi := lo + span
 		if w == workers-1 {
 			hi = end
 		}
-		tasks[w] = ShardTask{Method: Exhaustive, Lo: lo, Hi: hi, Budget: cfg.BufferWidth, Keep: cfg.KeepCandidates}
-	}
-	results, errs := runShards(ctx, e, cfg.runner(), tasks, "select-exhaustive")
-	if err := collectShardErrs(ctx, e, errs); err != nil {
-		return Candidate{}, nil, err
-	}
-	best, found, all, err := mergeExhaustiveShards(results)
+		s := &shards[w]
+		var err error
+		s.best, s.found, s.all, err = e.scanMasks(ctx, lo, hi, cfg.BufferWidth, cfg.KeepCandidates)
+		return err
+	})
 	if err != nil {
 		return Candidate{}, nil, err
 	}
+	best, found, all := mergeExhaustiveShards(shards)
 	if reg := e.p.Obs(); reg != nil {
 		enumerated := int64(end - 1)
 		feasible := e.countFeasible(cfg.BufferWidth)

@@ -36,8 +36,8 @@ func selectGreedy(e *Evaluator, budget int) (Candidate, error) {
 // at every step both take the highest-density message that fits the
 // remaining budget, and an already-skipped message never becomes eligible
 // again. The rounds exist to make the evaluation count explicit — evals is
-// the number of density evaluations performed, the quantity CELF's lazy
-// queue provably undercuts (see selectCELF) and the differential tests pin.
+// the number of density evaluations performed, which observed evaluators
+// record in core.select.gain_evals.
 func selectGreedyCounted(e *Evaluator, budget int) (Candidate, int, error) {
 	n := len(e.universe)
 	chosen := make([]bool, n)

@@ -122,80 +122,6 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 	}
 }
 
-// TestCELFMatchesGreedyDifferential pins the CELF contract on random
-// universes: the selected Candidate is byte-identical to eager greedy's,
-// and lazy evaluation never costs more gain evaluations — strictly fewer on
-// any instance where a round after the first still has several fitting
-// messages (most of them, at these sizes).
-func TestCELFMatchesGreedyDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	feasible, strictlyLazier := 0, 0
-	for trial := 0; trial < 50; trial++ {
-		messages := 6 + rng.Intn(35)
-		flows := 1 + rng.Intn(3)
-		if flows > messages {
-			flows = messages
-		}
-		e := universeEvaluator(t, messages, flows,
-			synth.Params{MaxWidth: 1 + rng.Intn(8), IPs: 3}, int64(trial))
-		budget := 1 + rng.Intn(24)
-
-		gr, grEvals, grErr := selectGreedyCounted(e, budget)
-		ce, ceEvals, ceErr := selectCELF(e, budget)
-		if (grErr == nil) != (ceErr == nil) {
-			t.Fatalf("trial %d (n=%d, budget %d): greedy err %v vs celf err %v",
-				trial, messages, budget, grErr, ceErr)
-		}
-		if grErr != nil {
-			continue
-		}
-		feasible++
-		if !reflect.DeepEqual(ce, gr) {
-			t.Errorf("trial %d (n=%d, budget %d): celf %+v != greedy %+v",
-				trial, messages, budget, ce, gr)
-		}
-		if ceEvals > grEvals {
-			t.Errorf("trial %d (n=%d, budget %d): celf evaluated %d gains, eager greedy only %d",
-				trial, messages, budget, ceEvals, grEvals)
-		}
-		if ceEvals < grEvals {
-			strictlyLazier++
-		}
-	}
-	if feasible < 40 {
-		t.Fatalf("only %d feasible trials — the generator parameters drifted", feasible)
-	}
-	if strictlyLazier < 30 {
-		t.Errorf("celf was strictly lazier on only %d of %d feasible trials", strictlyLazier, feasible)
-	}
-}
-
-// TestCELFEvalCountHandCase pins the evaluation arithmetic on an instance
-// small enough to count by hand: six width-1 messages, budget 3. Eager
-// greedy re-evaluates every remaining message each round (6+5+4 = 15);
-// CELF pays one evaluation per seeded message plus one refresh per round
-// after the first (6 + 2 = 8).
-func TestCELFEvalCountHandCase(t *testing.T) {
-	e := universeEvaluator(t, 6, 1, synth.Params{MaxWidth: 1}, 7)
-	gr, grEvals, err := selectGreedyCounted(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, ceEvals, err := selectCELF(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ce, gr) {
-		t.Fatalf("celf %+v != greedy %+v", ce, gr)
-	}
-	if grEvals != 15 {
-		t.Errorf("greedy evals = %d, want 6+5+4 = 15", grEvals)
-	}
-	if ceEvals != 8 {
-		t.Errorf("celf evals = %d, want 6 seeds + 2 refreshes = 8", ceEvals)
-	}
-}
-
 // TestBranchBoundMatchesExhaustiveDifferential pins branch-and-bound
 // against the exhaustive reference on random universes up to 22 messages —
 // the largest family the mask scan still enumerates: byte-identical
@@ -247,9 +173,8 @@ func TestBranchBoundMatchesExhaustiveDifferential(t *testing.T) {
 
 // TestBranchBoundScalesPastExhaustiveGuard is the headline scalability
 // claim: on a 120-message universe the exhaustive scan refuses to
-// enumerate 2^120 masks, while branch-and-bound (exact) and CELF (lazy
-// greedy) both select — and the exact search is never beaten by the
-// heuristics.
+// enumerate 2^120 masks, while branch-and-bound (exact) and greedy both
+// select — and the exact search is never beaten by the heuristic.
 func TestBranchBoundScalesPastExhaustiveGuard(t *testing.T) {
 	e := universeEvaluator(t, 120, 2, synth.Params{MaxWidth: 6, IPs: 4}, 42)
 	if n := len(e.Universe()); n != 120 {
@@ -266,7 +191,7 @@ func TestBranchBoundScalesPastExhaustiveGuard(t *testing.T) {
 	}
 
 	results := map[Method]*Result{}
-	for _, m := range []Method{BranchBound, CELF, Knapsack} {
+	for _, m := range []Method{BranchBound, Greedy, Knapsack} {
 		mcfg := cfg
 		mcfg.Method = m
 		res, err := Select(e, mcfg)
@@ -278,11 +203,11 @@ func TestBranchBoundScalesPastExhaustiveGuard(t *testing.T) {
 		}
 		results[m] = res
 	}
-	bb, ce, kn := results[BranchBound], results[CELF], results[Knapsack]
+	bb, gr, kn := results[BranchBound], results[Greedy], results[Knapsack]
 	const eps = 1e-9
-	if bb.SelectedGain < ce.SelectedGain-eps {
-		t.Errorf("branch-bound gain %.12f below celf's %.12f — the exact search lost to the heuristic",
-			bb.SelectedGain, ce.SelectedGain)
+	if bb.SelectedGain < gr.SelectedGain-eps {
+		t.Errorf("branch-bound gain %.12f below greedy's %.12f — the exact search lost to the heuristic",
+			bb.SelectedGain, gr.SelectedGain)
 	}
 	// Knapsack is the other exact Step-2 solver: the optima must agree.
 	if bb.SelectedGain < kn.SelectedGain-eps || bb.SelectedGain > kn.SelectedGain+eps {

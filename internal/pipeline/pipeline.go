@@ -127,13 +127,9 @@ func (s *Session) Evaluator() *core.Evaluator { return s.e }
 // zeroed: every worker count selects a byte-identical Result (the
 // parallel-equals-serial property the repo pins), so configs differing
 // only in Workers must share one memo slot instead of recomputing an
-// identical Result per worker count. Runner is erased on the same grounds
-// — a conforming ShardRunner changes where shards execute, never what they
-// compute (the distributed≡local differential pins this) — which also
-// keeps the key comparable regardless of the runner's dynamic type.
+// identical Result per worker count.
 func memoKey(cfg core.Config) core.Config {
 	cfg.Workers = 0
-	cfg.Runner = nil
 	return cfg
 }
 

@@ -188,12 +188,12 @@ func TestSelectRejectsUnsupportedWorkersDespiteMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the memo with a valid serial CELF selection.
-	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.CELF}); err != nil {
+	// Prime the memo with a valid serial greedy selection.
+	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.Greedy}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.CELF, Workers: 4}); err == nil {
-		t.Error("Workers=4 on celf answered from the memo instead of being rejected")
+	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.Greedy, Workers: 4}); err == nil {
+		t.Error("Workers=4 on greedy answered from the memo instead of being rejected")
 	} else if !strings.Contains(err.Error(), "does not support Workers") {
 		t.Errorf("rejection %q does not name the option", err)
 	}

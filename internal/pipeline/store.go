@@ -16,11 +16,11 @@ import (
 )
 
 // StoreKey content-addresses one selection: a sha256 over the session's
-// instance-set fingerprint and the normalized Config (Workers and Runner
-// erased — they change where the scan runs, never what it returns). Two
-// processes that resolve structurally identical scenarios derive identical
-// keys, so a fleet of servers sharing a spill directory shares results
-// instead of recomputing them.
+// instance-set fingerprint and the normalized Config (Workers erased — it
+// changes how the scan is split, never what it returns). Two processes
+// that resolve structurally identical scenarios derive identical keys, so
+// servers sharing a spill directory share results instead of recomputing
+// them.
 func StoreKey(fingerprint string, cfg core.Config) string {
 	n := memoKey(cfg)
 	h := sha256.New()
@@ -32,7 +32,7 @@ func StoreKey(fingerprint string, cfg core.Config) string {
 // ResultStore is a content-addressed cache of selection Results: an
 // in-memory LRU bounded by capacity, optionally spilled to a directory as
 // one JSON file per key so results survive process restarts and can be
-// shared across a fleet. Results are stored and returned by reference and
+// shared across servers. Results are stored and returned by reference and
 // must be treated as read-only; a Result that round-trips through the disk
 // spill is byte-identical to the original (core.Result is plain data and
 // float64 JSON encoding is exact).

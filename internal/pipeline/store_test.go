@@ -26,16 +26,14 @@ func storedResult() *core.Result {
 	}
 }
 
-func TestStoreKeyNormalizesRunnerAndWorkers(t *testing.T) {
+func TestStoreKeyNormalizesWorkers(t *testing.T) {
 	base := core.Config{BufferWidth: 2, Method: core.Exhaustive}
 	k := StoreKey("fp", base)
 
 	withWorkers := base
 	withWorkers.Workers = 7
-	withRunner := base
-	withRunner.Runner = core.LocalRunner{}
-	if StoreKey("fp", withWorkers) != k || StoreKey("fp", withRunner) != k {
-		t.Error("Workers/Runner changed the store key; they never change the Result")
+	if StoreKey("fp", withWorkers) != k {
+		t.Error("Workers changed the store key; it never changes the Result")
 	}
 
 	// Every field that does change the Result must change the key, and so

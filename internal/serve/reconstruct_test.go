@@ -171,13 +171,3 @@ func TestReconstructTimeoutReturns504(t *testing.T) {
 		t.Errorf("status = %d, want 504 (body %s)", rec.Code, rec.Body)
 	}
 }
-
-// TestReconstructNotServedByWorkers: worker-mode handlers expose only
-// /shard; the reconstruction route must not leak into the fleet.
-func TestReconstructNotServedByWorkers(t *testing.T) {
-	h := NewHandler(Config{Registry: obs.NewRegistry(), Worker: true})
-	rec := postReconstruct(t, h, toyBody(t, paperObservation()))
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("worker served /reconstruct with %d, want 404", rec.Code)
-	}
-}

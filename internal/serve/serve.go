@@ -37,13 +37,6 @@
 // the scenario's pipeline Session, so repeated observations are answered
 // from cache.
 //
-// The same handler also runs as a distributed worker (Config.Worker): it
-// then exposes POST /shard, which executes one core.ShardTask against the
-// scenario's evaluator and returns the shard incumbent. A coordinator
-// configured with Config.Workers fans its shard tasks out to workers via
-// HTTPRunner and merges replies with the same comparator the local pool
-// uses, so distributed selection is byte-identical to local.
-//
 // GET /healthz answers ok; GET /metrics snapshots the handler's obs
 // registry as JSON (the same payload the CLIs write via -metrics-json).
 package serve
@@ -54,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -75,9 +69,10 @@ type Options struct {
 	NoPack bool `json:"noPack,omitempty"`
 	// MaxCandidates bounds exhaustive enumeration (0 = default).
 	MaxCandidates int `json:"maxCandidates,omitempty"`
-	// Workers bounds the shard pool of a sharding method (0 = GOMAXPROCS).
-	// The Result is byte-identical at every worker count; methods that
-	// cannot shard reject workers > 1 with a 422.
+	// Workers is an upper bound on the shard pool of a sharding method
+	// (0 = GOMAXPROCS); counts above GOMAXPROCS are clamped to it. The
+	// Result is byte-identical at every worker count; methods that cannot
+	// shard reject workers > 1 with a 422.
 	Workers int `json:"workers,omitempty"`
 	// KeepCandidates returns every feasible candidate in the response.
 	// Only the exhaustive method supports it; any other method rejects the
@@ -95,7 +90,7 @@ type Request struct {
 }
 
 // config resolves the options against the scenario's budget into the core
-// Config (Runner is attached separately by the coordinator).
+// Config.
 func (o Options) config(scenarioWidth int) (core.Config, error) {
 	cfg := core.Config{
 		BufferWidth:    scenarioWidth,
@@ -186,21 +181,6 @@ type Config struct {
 	// RequestTimeout bounds each selection beyond the client's own
 	// cancellation; zero means no server-side timeout.
 	RequestTimeout time.Duration
-	// Worker switches the handler into shard-worker mode: it serves only
-	// POST /shard (plus /healthz and /metrics) for a coordinator's
-	// HTTPRunner and never coordinates selections itself.
-	Worker bool
-	// Workers lists worker base URLs (e.g. http://127.0.0.1:8345). When
-	// non-empty, sharding methods fan their shard tasks out to these
-	// workers instead of the in-process pool; selections stay
-	// byte-identical, and an unreachable fleet degrades back to local.
-	Workers []string
-	// ShardTimeout bounds each remote shard attempt (0 =
-	// DefaultShardTimeout).
-	ShardTimeout time.Duration
-	// ShardRetries is how many extra attempts a failed shard gets before
-	// falling back to the local pool (negative = DefaultShardRetries).
-	ShardRetries int
 	// Store answers selections content-addressed before the session layer;
 	// nil gets a private in-memory store observed by Registry.
 	Store *pipeline.ResultStore
@@ -219,21 +199,15 @@ const (
 
 // Handler serves the selection API. Create one with NewHandler.
 type Handler struct {
-	cache        *pipeline.Cache
-	reg          *obs.Registry
-	sem          chan struct{}
-	maxBody      int64
-	timeout      time.Duration
-	mux          *http.ServeMux
-	inflight     *obs.Gauge
-	store        *pipeline.ResultStore
-	workers      []string
-	shardTimeout time.Duration
-	shardRetries int
-	maxBatch     int
-	// testRunner, when set, overrides runnerFor's choice — the seam the
-	// fault-injection and determinism tests use to stand in for a fleet.
-	testRunner core.ShardRunner
+	cache    *pipeline.Cache
+	reg      *obs.Registry
+	sem      chan struct{}
+	maxBody  int64
+	timeout  time.Duration
+	mux      *http.ServeMux
+	inflight *obs.Gauge
+	store    *pipeline.ResultStore
+	maxBatch int
 }
 
 // NewHandler builds the http.Handler for the selection service.
@@ -256,26 +230,19 @@ func NewHandler(cfg Config) *Handler {
 		cfg.Store, _ = pipeline.NewResultStore(cfg.Registry, defaultStoreCap, "")
 	}
 	h := &Handler{
-		cache:        cfg.Cache,
-		reg:          cfg.Registry,
-		sem:          make(chan struct{}, cfg.MaxInFlight),
-		maxBody:      cfg.MaxBodyBytes,
-		timeout:      cfg.RequestTimeout,
-		mux:          http.NewServeMux(),
-		inflight:     cfg.Registry.Gauge("serve.inflight"),
-		store:        cfg.Store,
-		workers:      cfg.Workers,
-		shardTimeout: cfg.ShardTimeout,
-		shardRetries: cfg.ShardRetries,
-		maxBatch:     cfg.MaxBatch,
+		cache:    cfg.Cache,
+		reg:      cfg.Registry,
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		maxBody:  cfg.MaxBodyBytes,
+		timeout:  cfg.RequestTimeout,
+		mux:      http.NewServeMux(),
+		inflight: cfg.Registry.Gauge("serve.inflight"),
+		store:    cfg.Store,
+		maxBatch: cfg.MaxBatch,
 	}
-	if cfg.Worker {
-		h.mux.HandleFunc("/shard", h.handleShard)
-	} else {
-		h.mux.HandleFunc("/select", h.handleSelect)
-		h.mux.HandleFunc("/select/batch", h.handleBatch)
-		h.mux.HandleFunc("/reconstruct", h.handleReconstruct)
-	}
+	h.mux.HandleFunc("/select", h.handleSelect)
+	h.mux.HandleFunc("/select/batch", h.handleBatch)
+	h.mux.HandleFunc("/reconstruct", h.handleReconstruct)
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
 	h.mux.HandleFunc("/metrics", h.handleMetrics)
 	return h
@@ -338,30 +305,22 @@ func (h *Handler) requestCtx(r *http.Request) (context.Context, context.CancelFu
 	return r.Context(), func() {}
 }
 
-// runnerFor picks the ShardRunner a selection's Config carries: nil (the
-// in-process pool) unless the method shards and a worker fleet — or the
-// test seam — is configured. The runner is built per request so worker
-// quarantine never outlives the request that observed the failure.
-func (h *Handler) runnerFor(sc *spec.Scenario, method core.Method) core.ShardRunner {
-	if !method.Capabilities().Workers {
-		return nil
-	}
-	if h.testRunner != nil {
-		return h.testRunner
-	}
-	if len(h.workers) == 0 {
-		return nil
-	}
-	return NewHTTPRunner(h.workers, sc, nil, h.shardTimeout, h.shardRetries, h.reg)
-}
-
 // selectOne answers one resolved selection: store first, then the session
 // layer (memo + singleflight), storing what it computes. The Session is
 // resolved lazily through sesOnce, so a pure store hit never pays the
 // interleave build.
-func (h *Handler) selectOne(ctx context.Context, sc *spec.Scenario, cfg core.Config, sesOnce *sessionOnce) (*core.Result, error) {
+//
+// A request's workers count is an upper bound: it is clamped to
+// GOMAXPROCS after validation, so workers > 1 on a method that cannot
+// shard is still rejected on any machine, while a huge count cannot fan an
+// exhaustive scan out into one goroutine per mask. Every count selects the
+// same Result, so the clamp never changes a response.
+func (h *Handler) selectOne(ctx context.Context, cfg core.Config, sesOnce *sessionOnce) (*core.Result, error) {
 	if err := core.ValidateConfig(cfg); err != nil {
 		return nil, err
+	}
+	if procs := runtime.GOMAXPROCS(0); cfg.Workers > procs {
+		cfg.Workers = procs
 	}
 	key := pipeline.StoreKey(sesOnce.fp, cfg)
 	if res, ok := h.store.Get(key); ok {
@@ -371,7 +330,6 @@ func (h *Handler) selectOne(ctx context.Context, sc *spec.Scenario, cfg core.Con
 	if err != nil {
 		return nil, err
 	}
-	cfg.Runner = h.runnerFor(sc, cfg.Method)
 	res, err := ses.SelectContext(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -443,7 +401,7 @@ func (h *Handler) handleSelect(w http.ResponseWriter, r *http.Request) {
 		get: func() (*pipeline.Session, error) { return h.cache.Session(insts) },
 	}
 	start := time.Now()
-	res, err := h.selectOne(ctx, &req.Scenario, cfg, sesOnce)
+	res, err := h.selectOne(ctx, cfg, sesOnce)
 	h.reg.Add("serve.select_ns", time.Since(start).Nanoseconds())
 	if err != nil {
 		h.failSelect(w, err)
@@ -540,7 +498,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			cfg, err := o.config(breq.BufferWidth)
 			if err == nil {
 				var res *core.Result
-				if res, err = h.selectOne(ctx, &breq.Scenario, cfg, sesOnce); err == nil {
+				if res, err = h.selectOne(ctx, cfg, sesOnce); err == nil {
 					items[i] = BatchItem{Result: buildResponse(breq.Name, cfg, res)}
 					return
 				}
@@ -553,92 +511,6 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	h.reg.Add("serve.batch.items", int64(len(items)))
 	h.reg.Counter("serve.ok").Inc()
 	writeJSON(w, http.StatusOK, &BatchResponse{Scenario: breq.Name, Results: items})
-}
-
-// handleShard is the worker side of the distributed scan: execute one
-// validated ShardTask against the scenario's evaluator and return the
-// shard incumbent. Invalid tasks and scenarios are 400/422; the
-// coordinator treats those as terminal, so a misconfigured fleet fails
-// loudly instead of retrying forever.
-func (h *Handler) handleShard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		h.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s not allowed, POST a shard task", r.Method))
-		return
-	}
-	h.reg.Counter("serve.shard.requests").Inc()
-
-	release, ok := h.acquire(w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	var sreq ShardRequest
-	if err := decodeInto(w, r, h.maxBody, &sreq); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		h.fail(w, status, err)
-		return
-	}
-	if err := sreq.Scenario.Validate(); err != nil {
-		h.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	task, err := sreq.task()
-	if err != nil {
-		h.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	insts, err := sreq.Scenario.Build()
-	if err != nil {
-		h.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, cancel := h.requestCtx(r)
-	defer cancel()
-
-	ses, err := h.cache.Session(insts)
-	if err != nil {
-		h.fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	res, err := ses.Evaluator().RunShardTask(ctx, task)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			h.fail(w, http.StatusGatewayTimeout, errors.New("serve: shard timed out"))
-		case errors.Is(err, context.Canceled):
-			h.reg.Counter("serve.client_gone").Inc()
-		default:
-			h.fail(w, http.StatusUnprocessableEntity, err)
-		}
-		return
-	}
-	h.reg.Counter("serve.shard.served").Inc()
-	writeJSON(w, http.StatusOK, shardResponseFor(res))
-}
-
-// shardResponseFor renders a core.ShardResult in wire form.
-func shardResponseFor(res core.ShardResult) *ShardResponse {
-	out := &ShardResponse{
-		Found:    res.Found,
-		Mask:     res.Mask,
-		Width:    res.Width,
-		Gain:     res.Gain,
-		Coverage: res.Coverage,
-		Nodes:    res.Nodes,
-	}
-	for _, c := range res.Candidates {
-		out.Candidates = append(out.Candidates, Candidate{
-			Messages: c.Messages, Width: c.Width, Gain: c.Gain, Coverage: c.Coverage,
-		})
-	}
-	return out
 }
 
 // decodeInto reads one capped, strictly-validated JSON body into v.

@@ -3,10 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
 	"tracescale/internal/core"
+	"tracescale/internal/obs"
 )
 
 // Every registered strategy name is a valid HTTP method value, and the
@@ -44,8 +46,6 @@ func TestUnsupportedOptionsReturn422(t *testing.T) {
 		want string
 	}{
 		{"keepCandidates+knapsack", map[string]any{"method": "knapsack", "keepCandidates": true}, "does not support KeepCandidates"},
-		{"keepCandidates+celf", map[string]any{"method": "celf", "keepCandidates": true}, "does not support KeepCandidates"},
-		{"workers+celf", map[string]any{"method": "celf", "workers": 4}, "does not support Workers"},
 		{"workers+greedy", map[string]any{"method": "greedy", "workers": 2}, "does not support Workers"},
 	}
 	for _, tc := range cases {
@@ -84,8 +84,15 @@ func TestKeepCandidatesReturnsCandidates(t *testing.T) {
 			t.Error("candidate with no messages")
 		}
 	}
-	// Workers > 1 on exhaustive (which shards) stays a 200.
-	if rec := post(t, h, toyBody(t, map[string]any{"workers": 4})); rec.Code != http.StatusOK {
-		t.Errorf("workers=4 on exhaustive: status = %d, body %s", rec.Code, rec.Body)
+	// Workers > 1 on exhaustive (which shards) stays a 200, and the count
+	// is an upper bound: a huge one is clamped to GOMAXPROCS instead of
+	// fanning the 2^16-mask scan out into one goroutine per mask.
+	reg := obs.NewRegistry()
+	h = NewHandler(Config{Registry: reg})
+	if rec := post(t, h, slowBody(t, 16, map[string]any{"workers": 1 << 30})); rec.Code != http.StatusOK {
+		t.Fatalf("huge workers on exhaustive: status = %d, body %s", rec.Code, rec.Body)
+	}
+	if got, procs := reg.Snapshot()["core.select.workers"], int64(runtime.GOMAXPROCS(0)); got < 1 || got > procs {
+		t.Errorf("core.select.workers = %d, want 1..GOMAXPROCS=%d", got, procs)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"tracescale/internal/core"
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
 	"tracescale/internal/pipeline"
@@ -253,36 +252,24 @@ func TestHundredConcurrentPostsSucceedOr429(t *testing.T) {
 	t.Logf("200s: %d, 429s: %d", ok, shed)
 }
 
-// blockingRunner parks every shard until its context is cancelled — the
-// deterministic stand-in for "the scan is still running when the deadline
-// fires". With it installed, cancellation is the scan's only exit, so the
-// timeout path is exercised in every interleaving (the old version raced a
-// real scan against a 1ms deadline and flaked on slow machines when the
-// scan won).
-type blockingRunner struct{}
-
-func (blockingRunner) Name() string { return "blocking" }
-
-func (blockingRunner) RunShard(ctx context.Context, e *core.Evaluator, t core.ShardTask) (core.ShardResult, error) {
-	<-ctx.Done()
-	return core.ShardResult{}, ctx.Err()
-}
-
 // A server-side timeout shorter than the scan maps to 504, and the abort
-// is visible in the core counters.
+// is visible in the core counters. The selection is a 2^30-mask
+// exhaustive scan (maxCandidates lifts the default guard) that needs
+// seconds on any machine, so the 5ms deadline always fires first and
+// cancellation is the scan's only exit — the timeout path is exercised in
+// every interleaving instead of racing a short scan against the deadline.
 func TestTimeoutReturns504(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := NewHandler(Config{Registry: reg, RequestTimeout: 5 * time.Millisecond})
-	h.testRunner = blockingRunner{}
-	rec := post(t, h, toyBody(t, nil))
+	rec := post(t, h, slowBody(t, 30, map[string]any{"maxCandidates": 1 << 30}))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", rec.Code, rec.Body)
 	}
 	// The flight had a single waiter, so the 504 means the waiter left and
-	// cancelled the flight; the parked shard then unblocks with the flight
-	// context's error and the abort lands in core.select.cancelled. The
-	// poll is bounded but guaranteed to terminate — cancellation is the
-	// blocked scan's only exit.
+	// cancelled the flight; the scan then aborts at its next poll with the
+	// flight context's error and the abort lands in core.select.cancelled.
+	// The poll is bounded but guaranteed to terminate — cancellation is
+	// the scan's only exit.
 	deadline := time.Now().Add(30 * time.Second)
 	for reg.Snapshot()["core.select.cancelled"] < 1 {
 		if time.Now().After(deadline) {

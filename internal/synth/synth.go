@@ -107,7 +107,7 @@ func Scenario(flows int, p Params, rng *rand.Rand) ([]flow.Instance, error) {
 // interleaved product polynomial — roughly (messages/flows + 1)^flows
 // states — while the message universe grows into the hundreds: the regime
 // where exhaustive enumeration trips its MaxCandidates guard but the
-// knapsack, CELF, and branch-and-bound selectors keep working.
+// knapsack, greedy, and branch-and-bound selectors keep working.
 func Universe(messages, flows int, p Params, rng *rand.Rand) ([]flow.Instance, error) {
 	if flows < 1 || messages < flows {
 		return nil, fmt.Errorf("synth: need >= 1 flow and >= 1 message per flow (messages %d, flows %d)", messages, flows)

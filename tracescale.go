@@ -118,16 +118,14 @@ const (
 	// MaxCoverage greedily maximizes flow-spec coverage directly (an
 	// ablation baseline for the gain metric).
 	MaxCoverage = core.MaxCoverage
-	// CELF is Greedy with lazy marginal-gain evaluation: byte-identical
-	// selections, strictly fewer gain evaluations.
-	CELF = core.CELF
 	// BranchBound is the exact lattice search: byte-identical to Exhaustive
 	// wherever Exhaustive is feasible, and scales far past it.
 	BranchBound = core.BranchBound
 )
 
 // ParseMethod maps a method name ("exhaustive", "knapsack", "greedy",
-// "max-coverage", "celf", "branch-bound"; "" = Exhaustive) to its Method.
+// "max-coverage", "branch-bound", "reconstruct"; "" = Exhaustive) to its
+// Method.
 func ParseMethod(name string) (Method, error) { return core.ParseMethod(name) }
 
 // MethodNames lists every registered selection method name.
