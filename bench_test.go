@@ -535,6 +535,49 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
+// Session analysis plus one selection as the instance count grows:
+// CacheCoherence × k through pipeline.NewSession, then knapsack at 2 bits.
+// The session computes the evaluator in closed form, so the cost tracks
+// the instance count, not the 3^k-sized interleaved product.
+func BenchmarkSessionScale(b *testing.B) {
+	cc := tracescale.CacheCoherence()
+	for _, k := range []int{2, 4, 6, 8} {
+		insts := make([]tracescale.Instance, k)
+		for i := range insts {
+			insts[i] = tracescale.Instance{Flow: cc, Index: i + 1}
+		}
+		b.Run(fmt.Sprintf("%d-instances", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ses, err := pipeline.NewSession(insts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ses.Select(core.Config{BufferWidth: 2, Method: core.Knapsack}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Session analysis plus a branch-and-bound selection over a 120-message
+// synthetic universe in two flows, at the paper's 32-bit buffer.
+func BenchmarkSessionUniverse120(b *testing.B) {
+	insts, err := synth.Universe(120, 2, synth.Params{MaxWidth: 6, IPs: 4}, rand.New(rand.NewSource(42)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		ses, err := pipeline.NewSession(insts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ses.Select(core.Config{BufferWidth: 32, Method: core.BranchBound}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Exhaustive enumeration over a ~2^20-mask synthetic workload, serial vs
 // sharded across GOMAXPROCS workers. The two paths produce byte-identical
 // Results (see internal/core's property tests); this measures the

@@ -43,9 +43,10 @@ func main() {
 // errUsage signals a bad invocation: usage was already printed, exit 2.
 var errUsage = fmt.Errorf("usage")
 
-// defaultBench is the ratcheted benchmark set: the selector strategies plus
-// the end-to-end Fig. 5 pipeline they sit inside.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$"
+// defaultBench is the ratcheted benchmark set: the selector strategies,
+// the end-to-end Fig. 5 pipeline they sit inside, and session analysis
+// plus selection at growing instance counts and universe sizes.
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

@@ -80,7 +80,8 @@ Bug  Depth  Category  IP    Type
 // TestRunMetricsJSON checks the -metrics-json contract: the file exists,
 // parses, and carries nonzero metrics from every instrumented layer — for
 // an analytic render (figure 5), the soc.* numbers come from the workload
-// replay writeMetrics triggers.
+// replay writeMetrics triggers. Figure 5 selects without interleaving, so
+// its analysis shows up as core.evaluator.* rather than interleave.*.
 func TestRunMetricsJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var out bytes.Buffer
@@ -97,7 +98,7 @@ func TestRunMetricsJSON(t *testing.T) {
 	}
 	for _, key := range []string{
 		"soc.runs", "soc.cycles", "soc.events.delivered",
-		"interleave.builds", "interleave.states",
+		"core.evaluator.builds", "core.evaluator.states",
 		"core.select.runs", "core.select.masks_enumerated", "core.select.masks_feasible",
 		"pipeline.cache.misses",
 	} {

@@ -2,9 +2,9 @@ package core
 
 import "math/bits"
 
-// bitset is a packed set of small non-negative integers (product states or
-// universe indices), one bit per member. All operations assume the operands
-// were sized for the same universe.
+// bitset is a packed set of small non-negative integers (component states
+// of a cover, or universe indices), one bit per member. All operations
+// assume the operands were sized for the same universe.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -20,10 +20,10 @@ func (b bitset) or(o bitset) {
 	}
 }
 
-// count returns the cardinality of b.
-func (b bitset) count() int {
+// countRange returns the cardinality of words [lo, hi) of b.
+func (b bitset) countRange(lo, hi int) int {
 	c := 0
-	for _, w := range b {
+	for _, w := range b[lo:hi] {
 		c += bits.OnesCount64(w)
 	}
 	return c
@@ -56,13 +56,4 @@ func (b bitset) clear() {
 	for w := range b {
 		b[w] = 0
 	}
-}
-
-// freshFrom returns |o \ b|: how many members of o are not yet in b.
-func (b bitset) freshFrom(o bitset) int {
-	c := 0
-	for w, v := range o {
-		c += bits.OnesCount64(v &^ b[w])
-	}
-	return c
 }

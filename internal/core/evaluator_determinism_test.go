@@ -53,13 +53,13 @@ func asymmetricProduct(t *testing.T) *interleave.Product {
 
 // TestEvaluatorGainBitDeterminism rebuilds the evaluator many times over
 // the same product and requires every per-message gain to be bit-identical
-// across builds. interleave.MessageStats returns maps; before the
-// sortedStats flattening, NewEvaluator summed the floating-point gain
-// terms in map-iteration order, and float addition is not associative —
-// with five distinct-magnitude contributions per message the low bits of
-// Gain varied run to run, enough to flip the selector's epsilon tie-breaks
-// and desynchronize goldens. Against that code this test fails within a
-// few rebuilds.
+// across builds. Float addition is not associative, so the five
+// distinct-magnitude contributions per message must be summed in a fixed
+// order: an evaluator that once summed them in map-iteration order
+// (ranging over interleave.MessageStats) varied in the low bits of Gain
+// run to run, enough to flip the selector's epsilon tie-breaks and
+// desynchronize goldens, and failed this test within a few rebuilds. The
+// closed form folds indexed messages in (Name, Index) order.
 func TestEvaluatorGainBitDeterminism(t *testing.T) {
 	p := asymmetricProduct(t)
 

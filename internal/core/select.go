@@ -103,8 +103,8 @@ const defaultMaxCandidates = 1 << 22
 const scoreEps = 1e-12
 
 // Select runs the full three-step selection pipeline on the evaluator's
-// interleaved flow. When the evaluator's product was built with an
-// observability registry (interleave.NewObserved), Select records
+// interleaved flow. When the evaluator carries an observability registry
+// (Analyze's reg, or the product's for NewEvaluator), Select records
 // core.select.* and core.pack.* metrics into it; instrumentation is
 // entirely skipped for unobserved evaluators so the hot path stays at the
 // uninstrumented baseline.
@@ -139,10 +139,7 @@ func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, erro
 	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
-	// The registry rides on the product (interleave.NewObserved), so the
-	// Evaluator itself — whose layout the scan loops are hot against —
-	// carries no instrumentation state.
-	reg := e.p.Obs()
+	reg := e.obs
 	var start time.Time
 	if reg != nil {
 		//lint:ignore clockrand registry-gated metrics timing; never reaches selection results
@@ -260,7 +257,7 @@ func errNothingFits(budget int) error {
 
 func (e *Evaluator) candidateFromSet(chosen []bool) Candidate {
 	var c Candidate
-	vis := newBitset(e.p.NumStates())
+	vis := e.newCover()
 	for i, on := range chosen {
 		if !on {
 			continue
@@ -270,7 +267,7 @@ func (e *Evaluator) candidateFromSet(chosen []bool) Candidate {
 		c.Gain += e.gainOf[i]
 		vis.or(e.visibleOf[i])
 	}
-	c.Coverage = float64(vis.count()) / float64(e.p.NumStates())
+	c.Coverage = e.coverage(vis)
 	return c
 }
 
@@ -299,7 +296,7 @@ func pack(e *Evaluator, budget int, res *Result) {
 			})
 		}
 	}
-	e.p.Obs().Counter("core.pack.granules_considered").Add(int64(len(granules)))
+	e.obs.Counter("core.pack.granules_considered").Add(int64(len(granules)))
 	left := budget - res.Width
 	for left > 0 && len(granules) > 0 {
 		bestAt := -1

@@ -49,7 +49,7 @@ func runShards(ctx context.Context, e *Evaluator, n int, pool string, shard func
 		}
 	}
 	if firstErr != nil && ctx.Err() != nil {
-		if reg := e.p.Obs(); reg != nil {
+		if reg := e.obs; reg != nil {
 			reg.Add("core.select.shards_cancelled", failed)
 		}
 		return ctx.Err()

@@ -74,8 +74,7 @@ type bbSearch struct {
 	// exhaustive would have succeeded, because nodes never exceed the
 	// feasible-subset count, which is < 2^n ≤ MaxCandidates whenever
 	// exhaustive runs at all.
-	maxNodes  int64
-	numStates float64
+	maxNodes int64
 }
 
 // bound is the fractional-knapsack upper bound on the total gain any
@@ -141,7 +140,7 @@ func (w *bbWorker) consider() {
 			w.vis.or(w.s.e.visibleOf[i])
 		}
 	}
-	c := wideScored{width: width, gain: gain, coverage: float64(w.vis.count()) / w.s.numStates}
+	c := wideScored{width: width, gain: gain, coverage: w.s.e.coverage(w.vis)}
 	if !w.found || wideBetter(c, w.best) || (wideTie(c, w.best) && w.path.less(w.best.mask)) {
 		c.mask = w.path.clone()
 		w.best = c
@@ -232,11 +231,10 @@ func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 		return da > db
 	})
 	return &bbSearch{
-		e:         e,
-		order:     order,
-		budget:    budget,
-		maxNodes:  maxNodes,
-		numStates: float64(e.p.NumStates()),
+		e:        e,
+		order:    order,
+		budget:   budget,
+		maxNodes: maxNodes,
 	}
 }
 
@@ -308,7 +306,7 @@ func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate
 	s := newBBSearch(e, cfg.BufferWidth, int64(cfg.MaxCandidates))
 	ws := make([]*bbWorker, workers)
 	for i := range ws {
-		ws[i] = &bbWorker{s: s, path: newBitset(n), vis: newBitset(e.p.NumStates())}
+		ws[i] = &bbWorker{s: s, path: newBitset(n), vis: e.newCover()}
 	}
 	err := runShards(ctx, e, workers, "select-branch-bound", func(ctx context.Context, i int) error {
 		return ws[i].run(ctx, i, workers)
@@ -317,7 +315,7 @@ func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate
 		return Candidate{}, err
 	}
 	best, found, nodes := mergeBranchBound(ws)
-	if reg := e.p.Obs(); reg != nil {
+	if reg := e.obs; reg != nil {
 		reg.Add("core.select.bb_nodes", nodes)
 		reg.Gauge("core.select.workers").Set(int64(workers))
 	}

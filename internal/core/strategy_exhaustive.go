@@ -24,7 +24,10 @@ func (exhaustiveStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) 
 
 // scanMasks enumerates masks in [lo, hi), keeping the incumbent-best under
 // the better predicate (ascending scan, so the lowest tied mask wins) and,
-// when keep is set, every feasible candidate in mask order. The scratch
+// when keep is set, every feasible candidate in mask order. better reads
+// coverage only when the gains tie within scoreEps, so coverage is scored
+// only for contenders — masks whose gain reaches the incumbent's band —
+// and for every mask when keep asks for all candidates. The scratch cover
 // bitset vis is reused across masks; found reports whether any mask in the
 // range was width-feasible. The loop carries no counters beyond the
 // incumbent — even a single extra increment here is measurable — so the
@@ -34,8 +37,7 @@ func (exhaustiveStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) 
 // the inner loop byte-identical to the uncancellable original. A non-nil
 // err means the scan aborted on ctx and the partial results are invalid.
 func (e *Evaluator) scanMasks(ctx context.Context, lo, hi uint64, budget int, keep bool) (best scored, found bool, all []Candidate, err error) {
-	numStates := float64(e.p.NumStates())
-	vis := newBitset(e.p.NumStates())
+	vis := e.newCover()
 	for chunkLo := lo; chunkLo < hi; chunkLo += cancelCheckMasks {
 		if err := ctx.Err(); err != nil {
 			return scored{}, false, nil, err
@@ -54,13 +56,17 @@ func (e *Evaluator) scanMasks(ctx context.Context, lo, hi uint64, budget int, ke
 				continue
 			}
 			gain := 0.0
-			vis.clear()
 			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				gain += e.gainOf[i]
-				vis.or(e.visibleOf[i])
+				gain += e.gainOf[bits.TrailingZeros64(m)]
 			}
-			c := scored{mask: mask, width: width, gain: gain, coverage: float64(vis.count()) / numStates}
+			c := scored{mask: mask, width: width, gain: gain}
+			if keep || !found || gain >= best.gain-scoreEps {
+				vis.clear()
+				for m := mask; m != 0; m &= m - 1 {
+					vis.or(e.visibleOf[bits.TrailingZeros64(m)])
+				}
+				c.coverage = e.coverage(vis)
+			}
 			if keep {
 				all = append(all, e.candidateFromScored(c))
 			}
@@ -88,7 +94,7 @@ func (e *Evaluator) countFeasible(budget int) int64 {
 	if total, ok := e.feasibleBy[budget]; ok {
 		return total
 	}
-	e.p.Obs().Counter("core.select.feasible_dp_runs").Inc()
+	e.obs.Counter("core.select.feasible_dp_runs").Inc()
 	dp := make([]int64, budget+1)
 	dp[0] = 1
 	for _, w := range e.widthOf {
@@ -210,7 +216,7 @@ func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate,
 		return Candidate{}, nil, err
 	}
 	best, found, all := mergeExhaustiveShards(shards)
-	if reg := e.p.Obs(); reg != nil {
+	if reg := e.obs; reg != nil {
 		enumerated := int64(end - 1)
 		feasible := e.countFeasible(cfg.BufferWidth)
 		reg.Add("core.select.masks_enumerated", enumerated)

@@ -13,7 +13,7 @@ func (greedyStrategy) Capabilities() Capabilities { return Capabilities{} }
 func (greedyStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, evals, err := selectGreedyCounted(e, cfg.BufferWidth)
 	if err == nil {
-		e.p.Obs().Add("core.select.gain_evals", int64(evals))
+		e.obs.Add("core.select.gain_evals", int64(evals))
 	}
 	return best, nil, err
 }

@@ -18,7 +18,7 @@ func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Can
 // selectKnapsack solves Step 2 exactly: because gain is additive across
 // messages, the max-gain feasible combination is a 0/1 knapsack with
 // value = gain and weight = width. O(n × BufferWidth) DP cells, each
-// carrying the exact coverage bitset of its chosen set so gain ties break
+// carrying the exact cover bitset of its chosen set so gain ties break
 // toward higher coverage — the same secondary objective better() gives the
 // exhaustive reference. Without the tie-break, a degenerate universe where
 // every gain is zero (e.g. a single-execution product, whose entropy is 0)
@@ -29,8 +29,9 @@ func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Can
 func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 	n := len(e.universe)
 	// dp[c] = best (gain, coverage) using total width ≤ c. cov holds the
-	// exact visible-state union of the set behind the cell — coverage is not
-	// additive, so the tie-break needs the real union, not a per-item sum.
+	// exact visible-state union of the set behind the cell and covN its
+	// visible product states — coverage is not additive, so the tie-break
+	// needs the real union, not a per-item sum.
 	type cell struct {
 		gain float64
 		covN int
@@ -38,8 +39,9 @@ func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 	}
 	dp := make([]cell, budget+1)
 	for c := range dp {
-		dp[c].cov = newBitset(e.p.NumStates())
+		dp[c].cov = e.newCover()
 	}
+	cand := e.newCover()
 	take := make([][]bool, n)
 	feasible := false
 	for i := 0; i < n; i++ {
@@ -56,12 +58,11 @@ func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 			if candGain < dp[c].gain-1e-15 {
 				continue
 			}
-			candCovN := prev.covN + prev.cov.freshFrom(e.visibleOf[i])
+			copy(cand, prev.cov)
+			cand.or(e.visibleOf[i])
+			candCovN := e.visibleStates(cand)
 			if candGain > dp[c].gain+1e-15 || candCovN > dp[c].covN {
-				cov := newBitset(e.p.NumStates())
-				cov.or(prev.cov)
-				cov.or(e.visibleOf[i])
-				dp[c] = cell{gain: candGain, covN: candCovN, cov: cov}
+				dp[c] = cell{gain: candGain, covN: candCovN, cov: cand.clone()}
 				take[i][c] = true
 			}
 		}

@@ -22,7 +22,8 @@ func (maxCoverageStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (
 func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 	n := len(e.universe)
 	chosen := make([]bool, n)
-	covered := newBitset(e.p.NumStates())
+	covered, cand := e.newCover(), e.newCover()
+	coveredN := 0
 	left := budget
 	any := false
 	for {
@@ -35,7 +36,9 @@ func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 			if w > left {
 				continue
 			}
-			fresh := covered.freshFrom(e.visibleOf[i])
+			copy(cand, covered)
+			cand.or(e.visibleOf[i])
+			fresh := e.visibleStates(cand) - coveredN
 			if fresh > bestNew || (fresh == bestNew && w < bestWidth) {
 				bestAt, bestNew, bestWidth = i, fresh, w
 			}
@@ -47,6 +50,7 @@ func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 		left -= bestWidth
 		any = true
 		covered.or(e.visibleOf[bestAt])
+		coveredN = e.visibleStates(covered)
 	}
 	if !any {
 		return Candidate{}, errNothingFits(budget)

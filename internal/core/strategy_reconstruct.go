@@ -21,7 +21,7 @@ func (reconstructStrategy) Capabilities() Capabilities { return Capabilities{} }
 func (reconstructStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, evals, err := selectReconstruct(ctx, e, cfg.BufferWidth)
 	if err == nil {
-		e.p.Obs().Add("core.select.ambiguity_evals", int64(evals))
+		e.obs.Add("core.select.ambiguity_evals", int64(evals))
 	}
 	return best, nil, err
 }
@@ -37,11 +37,18 @@ func (reconstructStrategy) Select(ctx context.Context, e *Evaluator, cfg Config)
 // objective where ambiguity cannot distinguish — including the endgame
 // rounds where the traced set already disambiguates fully and every
 // remaining message reduces nothing.
+//
+// The pair DP walks the product, so the closed-form state count is checked
+// against reconstruct.MaxAmbiguityStates before the product is built.
 func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate, int, error) {
+	if err := reconstruct.CheckAmbiguityStates(e.numStates); err != nil {
+		return Candidate{}, 0, err
+	}
+	p := e.Product()
 	n := len(e.universe)
 	chosen := make([]bool, n)
 	traced := make(map[string]bool, n)
-	current, err := reconstruct.PairCount(e.p, traced)
+	current, err := reconstruct.PairCount(p, traced)
 	if err != nil {
 		return Candidate{}, 0, err
 	}
@@ -61,7 +68,7 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 				return Candidate{}, evals, err
 			}
 			traced[e.universe[i].Name] = true
-			pairs, err := reconstruct.PairCount(e.p, traced)
+			pairs, err := reconstruct.PairCount(p, traced)
 			delete(traced, e.universe[i].Name)
 			if err != nil {
 				return Candidate{}, evals, err

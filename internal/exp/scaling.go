@@ -46,7 +46,7 @@ func Scaling(seed int64) ([]ScalingRow, error) {
 		rows = append(rows, ScalingRow{
 			Approach: "app-level",
 			Problem:  s.Name,
-			Size:     fmt.Sprintf("%d messages, %d states", len(s.Universe()), ses.Product().NumStates()),
+			Size:     fmt.Sprintf("%d messages, %d states", len(s.Universe()), ses.Evaluator().NumStates()),
 			Elapsed:  time.Since(start),
 		})
 	}

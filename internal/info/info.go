@@ -145,17 +145,36 @@ type Accumulator struct {
 // Panics if any probability is negative, or if pxy > 0 while px or py is 0
 // (such a term is ill-defined and indicates a caller bug).
 func (a *Accumulator) Add(pxy, px, py float64) {
+	if !checkTerm(pxy, px, py) {
+		return
+	}
+	a.sum += pxy * math.Log(pxy/(px*py))
+	a.n++
+}
+
+// AddN accumulates n equal terms as one product n·term — the form a
+// histogram of equal terms takes — under Add's rules.
+func (a *Accumulator) AddN(n int, pxy, px, py float64) {
+	if !checkTerm(pxy, px, py) {
+		return
+	}
+	a.sum += float64(n) * (pxy * math.Log(pxy/(px*py)))
+	a.n += n
+}
+
+// checkTerm validates one term's probabilities and reports whether it
+// contributes (pxy > 0).
+func checkTerm(pxy, px, py float64) bool {
 	if pxy < 0 || px < 0 || py < 0 {
 		panic(fmt.Sprintf("info: negative probability pxy=%g px=%g py=%g", pxy, px, py))
 	}
 	if pxy == 0 {
-		return
+		return false
 	}
 	if px == 0 || py == 0 {
 		panic(fmt.Sprintf("info: pxy=%g with zero marginal px=%g py=%g", pxy, px, py))
 	}
-	a.sum += pxy * math.Log(pxy/(px*py))
-	a.n++
+	return true
 }
 
 // Value returns the accumulated mutual information in nats.

@@ -1,56 +1,55 @@
 package interleave
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
-	"sort"
 
 	"tracescale/internal/flow"
 )
 
-// Fingerprint returns a content fingerprint of an instance set: a hex
+// Fingerprint returns a content fingerprint of an instance listing: a hex
 // digest over each instance's index and the complete structure of its flow
 // (states with their init/stop/atomic markings, messages with widths,
 // endpoints, cycle counts and subgroups, and the transition relation).
-// Two instance sets fingerprint equally iff they would interleave into the
-// same Product, regardless of whether they share *Flow pointers — the key
-// a session cache needs to reuse one analysis across independently built
-// but structurally identical scenarios.
+// Two listings fingerprint equally iff every position holds a structurally
+// identical instance, regardless of whether they share *Flow pointers —
+// the key a session cache needs to reuse one analysis across
+// independently built but structurally identical scenarios.
 //
-// An instance set is a set (Definition 4's legality is pairwise, and the
-// interleaving does not depend on listing order), so the fingerprint is
-// permutation-invariant: each instance is digested independently and the
-// digests are combined in sorted order. Duplicate instances still count —
-// the digest multiset, not just its support, is hashed.
+// Listing order is part of the key. The interleaving's state space does
+// not depend on it, but an analysis does: the message universe follows
+// first appearance in the listing, and with it the order of Selected and
+// every lowest-index tie-break. So the per-instance digests are hashed in
+// listing order, and a permuted listing gets its own fingerprint.
 func Fingerprint(instances []flow.Instance) string {
-	digests := make([][]byte, len(instances))
-	for i, in := range instances {
-		h := sha256.New()
-		writeInt(h, in.Index)
-		writeFlow(h, in.Flow)
-		digests[i] = h.Sum(nil)
-	}
-	sort.Slice(digests, func(a, b int) bool { return bytes.Compare(digests[a], digests[b]) < 0 })
 	h := sha256.New()
-	writeInt(h, len(instances))
-	for _, d := range digests {
-		h.Write(d)
+	h.Write(appendInt(nil, len(instances)))
+	// Each distinct flow is serialized once; the instance digest covers
+	// its index followed by that serialization.
+	encoded := make(map[*flow.Flow][]byte, 1)
+	var buf []byte
+	for _, in := range instances {
+		enc, ok := encoded[in.Flow]
+		if !ok {
+			enc = appendFlow(nil, in.Flow)
+			encoded[in.Flow] = enc
+		}
+		buf = append(appendInt(buf[:0], in.Index), enc...)
+		d := sha256.Sum256(buf)
+		h.Write(d[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// writeFlow serializes a flow's structure unambiguously: every string is
+// appendFlow serializes a flow's structure unambiguously: every string is
 // length-prefixed and every section is count-prefixed, so no concatenation
 // of distinct flows can collide.
-func writeFlow(h hash.Hash, f *flow.Flow) {
-	writeStr(h, f.Name())
-	writeInt(h, f.NumStates())
+func appendFlow(b []byte, f *flow.Flow) []byte {
+	b = appendStr(b, f.Name())
+	b = appendInt(b, f.NumStates())
 	for s := 0; s < f.NumStates(); s++ {
-		writeStr(h, f.StateName(s))
+		b = appendStr(b, f.StateName(s))
 		bits := 0
 		if f.IsStop(s) {
 			bits |= 1
@@ -58,42 +57,36 @@ func writeFlow(h hash.Hash, f *flow.Flow) {
 		if f.IsAtomic(s) {
 			bits |= 2
 		}
-		writeInt(h, bits)
+		b = appendInt(b, bits)
 	}
-	writeInt(h, len(f.Init()))
+	b = appendInt(b, len(f.Init()))
 	for _, s := range f.Init() {
-		writeInt(h, s)
+		b = appendInt(b, s)
 	}
 	msgs := f.Messages()
-	writeInt(h, len(msgs))
+	b = appendInt(b, len(msgs))
 	for _, m := range msgs {
-		writeStr(h, m.Name)
-		writeInt(h, m.Width)
-		writeStr(h, m.Src)
-		writeStr(h, m.Dst)
-		writeInt(h, m.Cycles)
-		writeInt(h, len(m.Groups))
+		b = appendStr(b, m.Name)
+		b = appendInt(b, m.Width)
+		b = appendStr(b, m.Src)
+		b = appendStr(b, m.Dst)
+		b = appendInt(b, m.Cycles)
+		b = appendInt(b, len(m.Groups))
 		for _, g := range m.Groups {
-			writeStr(h, g.Name)
-			writeInt(h, g.Width)
+			b = appendStr(b, g.Name)
+			b = appendInt(b, g.Width)
 		}
 	}
 	edges := f.Edges()
-	writeInt(h, len(edges))
+	b = appendInt(b, len(edges))
 	for _, e := range edges {
-		writeInt(h, e.From)
-		writeInt(h, e.To)
-		writeInt(h, e.Msg)
+		b = appendInt(b, e.From)
+		b = appendInt(b, e.To)
+		b = appendInt(b, e.Msg)
 	}
+	return b
 }
 
-func writeInt(w io.Writer, v int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	w.Write(buf[:])
-}
+func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 
-func writeStr(w io.Writer, s string) {
-	writeInt(w, len(s))
-	io.WriteString(w, s)
-}
+func appendStr(b []byte, s string) []byte { return append(appendInt(b, len(s)), s...) }

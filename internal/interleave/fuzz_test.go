@@ -27,12 +27,15 @@ func fuzzFlow(t *testing.T, name string, wReq, wGnt int) *flow.Flow {
 	return f
 }
 
-// FuzzFingerprint checks the session-cache key's two load-bearing
-// properties over fuzzed instance sets:
+// FuzzFingerprint checks the session-cache key's load-bearing properties
+// over fuzzed instance listings:
 //
-//   - permutation invariance: an instance set is a set, so any listing
-//     order (and any independently rebuilt but structurally identical
-//     flows) must produce the same fingerprint, and
+//   - listing order is part of the key: a permuted listing fingerprints
+//     equally iff every position holds a structurally identical instance
+//     (the analysis's message universe, and with it every tie-break,
+//     follows the listing),
+//   - content addressing: independently rebuilt but structurally
+//     identical flows produce the same fingerprint, and
 //   - collision freedom across neighboring sets: changing an instance
 //     index or a message width must change the fingerprint.
 //
@@ -52,13 +55,22 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		base := Fingerprint(set)
 
-		// Permutation invariance: shuffle the listing order.
-		perm := append([]flow.Instance(nil), set...)
-		rand.New(rand.NewSource(int64(permSeed))).Shuffle(len(perm), func(i, j int) {
-			perm[i], perm[j] = perm[j], perm[i]
+		// Listing order: shuffle positions. Positions 0 and 1 hold
+		// structurally identical instances iff their indices agree;
+		// position 2 is a different flow from either.
+		order := []int{0, 1, 2}
+		rand.New(rand.NewSource(int64(permSeed))).Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
 		})
-		if got := Fingerprint(perm); got != base {
-			t.Errorf("permuted instance set fingerprints differently:\n%s\n%s", got, base)
+		perm := make([]flow.Instance, len(order))
+		identical := true
+		for i, o := range order {
+			perm[i] = set[o]
+			identical = identical && (o == i || (o < 2 && i < 2 && idxA == idxB))
+		}
+		if got := Fingerprint(perm); (got == base) != identical {
+			t.Errorf("listing %v of indices (%d, %d, 1): fingerprint equal = %v, positions identical = %v",
+				order, idxA, idxB, got == base, identical)
 		}
 
 		// Content addressing: structurally identical, independently built

@@ -46,9 +46,60 @@ type Product struct {
 // flow share an index (violating Definition 4).
 var ErrNotLegallyIndexed = errors.New("interleave: instances are not legally indexed")
 
-// MaxStates bounds product construction; New fails rather than exhausting
-// memory on pathological inputs.
+// MaxStates bounds product construction; New and Admit fail rather than
+// exhausting memory on pathological inputs.
 const MaxStates = 4_000_000
+
+// Admit checks an instance set against New's preconditions and returns the
+// exact number of states its product has, without building it.
+//
+// Every state of a built flow is reachable (flow.Builder enforces it), and
+// the product reaches every tuple of component states in which at most one
+// component is atomic: move each component bound for a non-atomic state
+// along its own path, one at a time, then the one bound for an atomic
+// state. With NA_j and A_j the non-atomic and atomic state counts of
+// component j, the state count is therefore
+//
+//	|S| = Π NA_j + Σ_i A_i · Π_{j≠i} NA_j,
+//
+// folded left to right as S ← S·NA_k + P·A_k, P ← P·NA_k. Both folds
+// saturate just past MaxStates, so a set of any size is admitted or
+// rejected without overflow and before anything proportional to its
+// product is allocated. Admit returns New's errors for an empty or
+// illegally indexed set and for one over MaxStates.
+func Admit(instances []flow.Instance) (int, error) {
+	if len(instances) == 0 {
+		return 0, errors.New("interleave: no instances")
+	}
+	if !flow.LegallyIndexed(instances) {
+		return 0, ErrNotLegallyIndexed
+	}
+	// Operands stay at or below limit, so each product fits int64 before
+	// it is clamped.
+	const limit = MaxStates + 1
+	all, legal := 1, 1
+	for _, in := range instances {
+		na, a := atomicSplit(in.Flow)
+		na, a = min(na, limit), min(a, limit)
+		legal = min(legal*na+all*a, limit)
+		all = min(all*na, limit)
+	}
+	if legal > MaxStates {
+		return 0, fmt.Errorf("interleave: product exceeds %d states", MaxStates)
+	}
+	return legal, nil
+}
+
+// atomicSplit returns how many of f's states are non-atomic and atomic —
+// the per-component factors of Admit's closed form.
+func atomicSplit(f *flow.Flow) (nonAtomic, atomic int) {
+	for s := 0; s < f.NumStates(); s++ {
+		if f.IsAtomic(s) {
+			atomic++
+		}
+	}
+	return f.NumStates() - atomic, atomic
+}
 
 func key(tuple []int) string {
 	var sb strings.Builder
@@ -63,7 +114,8 @@ func key(tuple []int) string {
 
 // New builds the interleaved flow of the given instances. It returns
 // ErrNotLegallyIndexed for illegal indexing and an error if the reachable
-// product exceeds MaxStates.
+// product exceeds MaxStates; both are decided by Admit before the build
+// allocates anything.
 func New(instances []flow.Instance) (*Product, error) {
 	return NewObserved(instances, nil)
 }
@@ -79,15 +131,15 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 		//lint:ignore clockrand registry-gated metrics timing; never reaches the product's structure
 		start = time.Now()
 	}
-	if len(instances) == 0 {
-		return nil, errors.New("interleave: no instances")
-	}
-	if !flow.LegallyIndexed(instances) {
-		return nil, ErrNotLegallyIndexed
+	n, err := Admit(instances)
+	if err != nil {
+		return nil, err
 	}
 	p := &Product{
 		instances: instances,
-		index:     make(map[string]int),
+		tuples:    make([][]int, 0, n),
+		index:     make(map[string]int, n),
+		out:       make([][]Edge, 0, n),
 		obs:       reg,
 	}
 
@@ -111,11 +163,9 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 		p.init = append(p.init, p.intern(t))
 	}
 
-	// BFS over reachable product states.
+	// BFS over reachable product states. Admit's count is exact, so the
+	// search stays within MaxStates.
 	for head := 0; head < len(p.tuples); head++ {
-		if len(p.tuples) > MaxStates {
-			return nil, fmt.Errorf("interleave: product exceeds %d states", MaxStates)
-		}
 		tuple := p.tuples[head]
 		// blocked[i]: some other component is atomic, so instance i may not
 		// move. With at most one atomic component (an invariant of the

@@ -1,22 +1,26 @@
 // Package pipeline unifies the selection pipeline behind a shared, cached
-// Session layer. A Session owns one scenario's analyzed interleaving — the
-// Product of its instance set and the Evaluator precomputed over it — and
-// memoizes selection Results per normalized Config (Workers is erased from
-// the key: every worker count selects a byte-identical Result), so that
-// width sweeps, candidate dumps, ablation curves, CLI invocations, the
-// serving layer, and the public facade all reuse one analysis instead of
-// re-interleaving per data point. Concurrent identical selections are
-// singleflighted: they share one in-progress computation, and cancelling
-// every interested caller cancels the computation itself. Sessions are
-// themselves memoized in a Cache keyed by a content fingerprint of the
-// instance set (flow structure + indices), so independently built but
+// Session layer. A Session owns one scenario's analysis — the Evaluator of
+// its instance set, computed in closed form without interleaving it, and
+// the interleaved Product, built lazily on first use for reconstruction
+// and the other consumers that walk it — and memoizes selection Results
+// per normalized Config (Workers is erased from the key: every worker
+// count selects a byte-identical Result), so that width sweeps, candidate
+// dumps, ablation curves, CLI invocations, the serving layer, and the
+// public facade all reuse one analysis instead of recomputing it per data
+// point. Concurrent identical selections are singleflighted: they share
+// one in-progress computation, and cancelling every interested caller
+// cancels the computation itself. Sessions are themselves memoized in a
+// Cache keyed by a content fingerprint of the instance listing (flow
+// structure and indices, in listing order, which the evaluator's message
+// universe and tie-breaks follow), so independently built but
 // structurally identical scenarios share the same Session.
 //
 // The layer is observable: a Cache built with NewCacheObs records
 // pipeline.cache.* (hits, misses, evictions, size), pipeline.fingerprint_ns,
 // and pipeline.results.* into its registry, and threads the registry into
-// the interleave build and the core selectors so one snapshot covers the
-// whole analysis chain. A nil registry is a no-op (the obs contract).
+// the evaluator, the lazy interleave build, and the core selectors so one
+// snapshot covers the whole analysis chain. A nil registry is a no-op (the
+// obs contract).
 package pipeline
 
 import (
@@ -32,14 +36,13 @@ import (
 	"tracescale/internal/reconstruct"
 )
 
-// Session is one scenario's analyzed selection pipeline: the interleaved
-// Product of its instance set, the Evaluator over it, and a memo of
-// selection Results per Config. A Session is safe for concurrent use;
-// Results it returns are shared between callers and must be treated as
-// read-only.
+// Session is one scenario's analyzed selection pipeline: the Evaluator of
+// its instance set, the interleaved Product (built on first use), and a
+// memo of selection Results per Config. A Session is safe for concurrent
+// use; Results it returns are shared between callers and must be treated
+// as read-only.
 type Session struct {
 	fp  string
-	p   *interleave.Product
 	e   *core.Evaluator
 	obs *obs.Registry
 
@@ -62,16 +65,18 @@ type flight struct {
 	cancel  context.CancelFunc
 }
 
-// NewSession analyzes the instance set: it interleaves the instances and
-// precomputes the Evaluator. The Session is not registered in any Cache;
-// use Cache.Session (or the package-level For) for memoized construction.
+// NewSession analyzes the instance set: it computes the Evaluator in closed
+// form (core.Analyze), leaving the interleaved product unbuilt until
+// something asks for it. The Session is not registered in any Cache; use
+// Cache.Session (or the package-level For) for memoized construction.
 func NewSession(instances []flow.Instance) (*Session, error) {
 	return NewSessionObs(instances, nil)
 }
 
 // NewSessionObs is NewSession with an observability registry: the
-// fingerprint, interleave build, and every Select the session runs record
-// into reg. A nil registry makes it identical to NewSession.
+// fingerprint, the evaluator, the lazy interleave build, and every Select
+// the session runs record into reg. A nil registry makes it identical to
+// NewSession.
 func NewSessionObs(instances []flow.Instance, reg *obs.Registry) (*Session, error) {
 	fp := fingerprint(instances, reg)
 	return newSession(fp, instances, reg)
@@ -93,18 +98,13 @@ func fingerprint(instances []flow.Instance, reg *obs.Registry) string {
 }
 
 func newSession(fp string, instances []flow.Instance, reg *obs.Registry) (*Session, error) {
-	p, err := interleave.NewObserved(instances, reg)
-	if err != nil {
-		return nil, err
-	}
-	e, err := core.NewEvaluator(p)
+	e, err := core.Analyze(instances, reg)
 	if err != nil {
 		return nil, err
 	}
 	reg.Counter("pipeline.session.builds").Inc()
 	return &Session{
 		fp:      fp,
-		p:       p,
 		e:       e,
 		obs:     reg,
 		results: make(map[core.Config]*core.Result),
@@ -117,8 +117,10 @@ func newSession(fp string, instances []flow.Instance, reg *obs.Registry) (*Sessi
 // set — the key it is cached under.
 func (s *Session) Fingerprint() string { return s.fp }
 
-// Product returns the session's interleaved flow.
-func (s *Session) Product() *interleave.Product { return s.p }
+// Product returns the session's interleaved flow, building it on first
+// use; concurrent first callers share one build (core.Evaluator.Product).
+// Selection never needs it.
+func (s *Session) Product() *interleave.Product { return s.e.Product() }
 
 // Evaluator returns the session's precomputed evaluator.
 func (s *Session) Evaluator() *core.Evaluator { return s.e }
@@ -270,7 +272,10 @@ func NewCacheObs(reg *obs.Registry, capacity int) *Cache {
 
 // Session returns the cached Session for the instance set, analyzing it on
 // first use. Construction holds the cache lock so concurrent requests for
-// the same scenario analyze it exactly once.
+// the same scenario analyze it exactly once; the analysis is the
+// closed-form evaluator, so the lock is never held across a product
+// build. An instance set over interleave.MaxStates is refused before
+// anything proportional to its product is allocated.
 func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	fp := fingerprint(instances, c.obs)
 	c.mu.Lock()

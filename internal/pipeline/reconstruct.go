@@ -35,8 +35,8 @@ func reconKeyOf(pr reconstruct.Projection, opt reconstruct.Options) reconKey {
 	}
 }
 
-// Reconstruct runs the reconstruction engine over the session's product,
-// memoizing Results per canonical (projection, options) key: repeated
+// Reconstruct runs the reconstruction engine over the session's product
+// (building it on first use), memoizing Results per canonical (projection, options) key: repeated
 // reconstructions of the same observation — the serving layer's repeated
 // POST /reconstruct bodies — return the cached Result. The returned
 // Result is shared between callers and must be treated as read-only.
@@ -52,7 +52,7 @@ func (s *Session) Reconstruct(pr reconstruct.Projection, opt reconstruct.Options
 	}
 	s.mu.Unlock()
 	s.obs.Counter("pipeline.reconstruct.misses").Inc()
-	res, err := reconstruct.Reconstruct(s.p, pr, opt)
+	res, err := reconstruct.Reconstruct(s.Product(), pr, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,17 @@ import (
 // is refused rather than silently approximated.
 const MaxAmbiguityStates = 1024
 
+// CheckAmbiguityStates reports whether a product of n states is within
+// MaxAmbiguityStates, with the error PairCount returns when it is not —
+// so a caller that knows n in closed form can refuse before building the
+// product.
+func CheckAmbiguityStates(n int) error {
+	if n > MaxAmbiguityStates {
+		return fmt.Errorf("reconstruct: %d states exceeds the %d-state ambiguity limit", n, MaxAmbiguityStates)
+	}
+	return nil
+}
+
 // PairCount returns the number of ordered pairs of executions whose
 // projections onto the traced set are equal. Dividing by TotalPaths gives
 // the expected reconstruction ambiguity: how many executions a debugger
@@ -28,8 +39,8 @@ const MaxAmbiguityStates = 1024
 // path enumeration and no floating point.
 func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) {
 	n := p.NumStates()
-	if n > MaxAmbiguityStates {
-		return nil, fmt.Errorf("reconstruct: %d states exceeds the %d-state ambiguity limit", n, MaxAmbiguityStates)
+	if err := CheckAmbiguityStates(n); err != nil {
+		return nil, err
 	}
 	isStop := make([]bool, n)
 	for _, s := range p.Stop() {

@@ -32,11 +32,13 @@
 //
 // result.Selected holds the message combination to trace, result.Packed
 // the subgroups added by buffer packing, and result.Gain / result.Coverage
-// its scores. A Session owns the scenario's interleaved flow and its
-// gain analysis, and memoizes selection Results per Config; sessions are
-// themselves cached by a content fingerprint of the instance set, so
-// repeated analyses of the same scenario (width sweeps, several tables
-// touching one workload) pay for interleaving once. The step-by-step
+// its scores. A Session owns the scenario's gain analysis — computed in
+// closed form from the flows, without building the interleaved flow,
+// which Session.Product builds on first use — and memoizes selection
+// Results per Config; sessions are themselves cached by a content
+// fingerprint of the instance listing, so repeated analyses of the same
+// scenario (width sweeps, several tables touching one workload) pay for
+// the analysis once. The step-by-step
 // Interleave / NewEvaluator / Select functions remain for callers that
 // want explicit control. See the examples directory for complete
 // programs, and cmd/paperbench for the harness that regenerates every
@@ -140,8 +142,8 @@ type PackedGroup = core.PackedGroup
 // Result is the outcome of the selection pipeline.
 type Result = core.Result
 
-// Session owns one scenario's analyzed interleaving — the Product and its
-// Evaluator — and memoizes selection Results per Config. Results returned
+// Session owns one scenario's Evaluator (and, once asked for, its
+// Product) and memoizes selection Results per Config. Results returned
 // from a Session are shared and must be treated as read-only.
 type Session = pipeline.Session
 
@@ -171,10 +173,11 @@ func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, erro
 	return core.SelectContext(ctx, e, cfg)
 }
 
-// NewSession returns the Session for the given instance set, building the
-// interleaved flow and its evaluator on first use. Sessions are cached
-// process-wide by a content fingerprint of the instances (flow structure
-// plus indices), so two callers that independently construct equal
+// NewSession returns the Session for the given instance set, computing its
+// evaluator on first use (the interleaved flow waits until
+// Session.Product asks for it). Sessions are cached process-wide by a
+// content fingerprint of the instance listing (flow structure plus
+// indices, in order), so two callers that independently construct equal
 // scenarios share one analysis.
 func NewSession(instances []Instance) (*Session, error) { return pipeline.For(instances) }
 
