@@ -15,7 +15,9 @@ import (
 	"tracescale/internal/circuits"
 	"tracescale/internal/core"
 	"tracescale/internal/exp"
+	"tracescale/internal/flow"
 	"tracescale/internal/interleave"
+	"tracescale/internal/mine"
 	"tracescale/internal/netlist"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
@@ -24,6 +26,7 @@ import (
 	"tracescale/internal/sigsel"
 	"tracescale/internal/soc"
 	"tracescale/internal/synth"
+	"tracescale/internal/tbuf"
 	"tracescale/internal/usb"
 )
 
@@ -265,6 +268,59 @@ func BenchmarkPRNetUSB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Corpus mining: a T2 scenario-3 golden corpus as t2campaign -mined
+// simulates it (3 traces × 8 tags), and one 24-tag trace whose every slice
+// interleaves 8 disjoint 6-message chains — a joint product of 7^8 states
+// per slice, which mining must never build.
+func BenchmarkMineCorpus(b *testing.B) {
+	s, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t2, err := exp.GoldenCorpus(s, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		traces [][]tbuf.Entry
+	}{
+		{"t2-scenario3", t2},
+		{"8-flows", [][]tbuf.Entry{shuffleCorpus(8, 6, 24, 8)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := mine.Corpus(c.traces, mine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// shuffleCorpus is one trace of tags slices, each a seeded random merge of
+// chains disjoint chains c<i>_m0 … c<i>_m<length-1>.
+func shuffleCorpus(chains, length, tags int, seed int64) []tbuf.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	var tr []tbuf.Entry
+	for tag := 1; tag <= tags; tag++ {
+		next := make([]int, chains) // per chain: messages emitted so far
+		live := make([]int, chains) // chains with messages left
+		for c := range live {
+			live[c] = c
+		}
+		for len(live) > 0 {
+			k := rng.Intn(len(live))
+			c := live[k]
+			tr = append(tr, tbuf.Entry{Msg: flow.IndexedMsg{Name: fmt.Sprintf("c%d_m%d", c, next[c]), Index: tag}, Bits: 2})
+			if next[c]++; next[c] == length {
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+	}
+	return tr
 }
 
 // ---- Ablations ----------------------------------------------------------

@@ -44,9 +44,10 @@ func main() {
 var errUsage = fmt.Errorf("usage")
 
 // defaultBench is the ratcheted benchmark set: the selector strategies,
-// the end-to-end Fig. 5 pipeline they sit inside, and session analysis
-// plus selection at growing instance counts and universe sizes.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$"
+// the end-to-end Fig. 5 pipeline they sit inside, session analysis plus
+// selection at growing instance counts and universe sizes, and corpus
+// mining.
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

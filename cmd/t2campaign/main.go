@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -48,8 +47,6 @@ import (
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
 	"tracescale/internal/reconstruct"
-	"tracescale/internal/soc"
-	"tracescale/internal/tbuf"
 )
 
 func main() {
@@ -98,7 +95,7 @@ func run(args []string, w io.Writer) error {
 	}
 	setNames := strings.Split(*sets, ",")
 	reg := obs.NewRegistry()
-	spec, err := buildSpec(ids, setNames, *seed, *mined, *workers)
+	spec, err := buildSpec(ids, setNames, *seed, *mined)
 	if err != nil {
 		return err
 	}
@@ -130,7 +127,7 @@ func run(args []string, w io.Writer) error {
 // message set per requested selector. With mined set, every selector is
 // additionally run under flow specs mined from golden traces of the
 // scenario, contributing a "mined:"-prefixed set scored on the same runs.
-func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool, workers int) (campaign.Spec, error) {
+func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool) (campaign.Spec, error) {
 	spec := campaign.Spec{Name: "t2", Seed: seed, MaxCycles: 0}
 	for _, id := range scenarioIDs {
 		s, err := opensparc.ScenarioByID(id)
@@ -158,7 +155,11 @@ func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool, wor
 		}
 		var minedSes *pipeline.Session
 		if mined {
-			res, err := mineScenario(s, seed, workers)
+			traces, err := exp.GoldenCorpus(s, seed)
+			if err != nil {
+				return spec, fmt.Errorf("scenario %d: mining: %w", s.ID, err)
+			}
+			res, err := mine.Corpus(traces, mine.Options{})
 			if err != nil {
 				return spec, fmt.Errorf("scenario %d: mining: %w", s.ID, err)
 			}
@@ -238,63 +239,6 @@ func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool, wor
 		})
 	}
 	return spec, nil
-}
-
-// Mined-corpus workload shape: minedCorpusReps golden traces per scenario,
-// each running every flow minedCorpusTags transactions deep with jittered
-// launch cycles and a wide latency spread. Diversity is load-bearing: a
-// flow's first message fires at exactly its launch cycle, so without
-// jitter every head message invariantly precedes every cross-flow non-head
-// message and the miner — soundly — merges what the corpus cannot tell
-// apart.
-const (
-	minedCorpusReps = 3
-	minedCorpusTags = 8
-	minedCorpusJit  = 13
-)
-
-// mineScenario simulates golden (bug-free) runs of the scenario, captures
-// them at full width with no wraparound, and mines a flow set from the
-// corpus. Corpus seeds derive from the campaign seed in a reserved index
-// range so they never collide with grid-point seeds.
-func mineScenario(s opensparc.Scenario, seed int64, workers int) (*mine.Result, error) {
-	var rules []tbuf.Rule
-	width := 0
-	for _, m := range s.Universe() {
-		rules = append(rules, tbuf.Rule{Message: m.Name, Width: m.Width, Bits: m.Width})
-		width += m.Width
-	}
-	plan, err := tbuf.NewCapturePlan(rules)
-	if err != nil {
-		return nil, err
-	}
-	var traces [][]tbuf.Entry
-	for r := 0; r < minedCorpusReps; r++ {
-		runSeed := campaign.DerivedSeed(seed, 1<<20+s.ID*64+r)
-		jit := rand.New(rand.NewSource(runSeed))
-		var launches []soc.Launch
-		for _, f := range s.Flows() {
-			for k := 1; k <= minedCorpusTags; k++ {
-				launches = append(launches, soc.Launch{
-					Flow: f, Index: k, Start: uint64(8*(k-1) + jit.Intn(minedCorpusJit)),
-				})
-			}
-		}
-		res, err := soc.Run(soc.Scenario{Name: s.Name, Launches: launches},
-			soc.Config{Seed: runSeed, MaxLatency: 20})
-		if err != nil {
-			return nil, err
-		}
-		if !res.Passed() {
-			return nil, fmt.Errorf("golden corpus run %d failed: %v", r, res.Symptoms)
-		}
-		mon := soc.NewMonitor(plan, tbuf.New(width, len(res.Events)+1), nil)
-		if err := mon.Consume(res.Events); err != nil {
-			return nil, err
-		}
-		traces = append(traces, mon.Buffer().Entries())
-	}
-	return mine.Corpus(traces, mine.Options{Workers: workers})
 }
 
 // tracedFor resolves one selector name to its traced message set against

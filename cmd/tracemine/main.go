@@ -57,7 +57,6 @@ func run(args []string, w io.Writer) error {
 		interleaved = fs.Bool("interleaved", false, "mine a multi-flow corpus instead of a single chain")
 		minSupport  = fs.Int("min-support", 0, "slices a message must occur in to be mined (default 2)")
 		confidence  = fs.Float64("min-confidence", 0, "fraction of pair co-occurrences that must agree on one order (default 1)")
-		workers     = fs.Int("workers", 0, "consistency-oracle workers (default GOMAXPROCS; any count mines the same result)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -85,9 +84,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *interleaved {
-		res, err := mine.Corpus(traces, mine.Options{
-			MinSupport: *minSupport, MinConfidence: *confidence, Workers: *workers,
-		})
+		res, err := mine.Corpus(traces, mine.Options{MinSupport: *minSupport, MinConfidence: *confidence})
 		if err != nil {
 			return err
 		}

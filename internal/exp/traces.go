@@ -2,7 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
 
+	"tracescale/internal/campaign"
 	"tracescale/internal/debugger"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/soc"
@@ -85,4 +87,62 @@ func DebugFromTraces(run *CaseRun, seed int64) (*debugger.Report, error) {
 		Causes:   causes,
 		Seed:     seed,
 	})
+}
+
+// Golden mining-corpus shape: goldenCorpusReps traces per scenario, each
+// running every flow goldenCorpusTags transactions deep with launch cycles
+// jittered by up to goldenCorpusJit and a wide latency spread. Diversity
+// is load-bearing: a flow's first message fires at exactly its launch
+// cycle, so without jitter every head message invariantly precedes every
+// cross-flow non-head message and the miner — soundly — merges what the
+// corpus cannot tell apart.
+const (
+	goldenCorpusReps = 3
+	goldenCorpusTags = 8
+	goldenCorpusJit  = 13
+)
+
+// GoldenCorpus simulates golden (bug-free) runs of the scenario and
+// captures them at full width with no wraparound: the interleaved corpus
+// the mined-vs-truth campaign mines flow specs from. Run seeds derive from
+// seed in a reserved index range so they never collide with campaign
+// grid-point seeds.
+func GoldenCorpus(s opensparc.Scenario, seed int64) ([][]tbuf.Entry, error) {
+	var rules []tbuf.Rule
+	width := 0
+	for _, m := range s.Universe() {
+		rules = append(rules, tbuf.Rule{Message: m.Name, Width: m.Width, Bits: m.Width})
+		width += m.Width
+	}
+	plan, err := tbuf.NewCapturePlan(rules)
+	if err != nil {
+		return nil, err
+	}
+	var traces [][]tbuf.Entry
+	for r := 0; r < goldenCorpusReps; r++ {
+		runSeed := campaign.DerivedSeed(seed, 1<<20+s.ID*64+r)
+		jit := rand.New(rand.NewSource(runSeed))
+		var launches []soc.Launch
+		for _, f := range s.Flows() {
+			for k := 1; k <= goldenCorpusTags; k++ {
+				launches = append(launches, soc.Launch{
+					Flow: f, Index: k, Start: uint64(8*(k-1) + jit.Intn(goldenCorpusJit)),
+				})
+			}
+		}
+		res, err := soc.Run(soc.Scenario{Name: s.Name, Launches: launches},
+			soc.Config{Seed: runSeed, MaxLatency: 20})
+		if err != nil {
+			return nil, err
+		}
+		if !res.Passed() {
+			return nil, fmt.Errorf("golden corpus run %d failed: %v", r, res.Symptoms)
+		}
+		mon := soc.NewMonitor(plan, tbuf.New(width, len(res.Events)+1), nil)
+		if err := mon.Consume(res.Events); err != nil {
+			return nil, err
+		}
+		traces = append(traces, mon.Buffer().Entries())
+	}
+	return traces, nil
 }

@@ -2,12 +2,9 @@ package mine
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"tracescale/internal/flow"
-	"tracescale/internal/interleave"
 	"tracescale/internal/spec"
 	"tracescale/internal/tbuf"
 )
@@ -22,9 +19,6 @@ type Options struct {
 	// i.e. same-flow. Default 1.0 (strictly invariant); must lie in
 	// (0.5, 1] so at most one direction can win.
 	MinConfidence float64
-	// Workers bounds the goroutines the consistency oracle shards slices
-	// across (default GOMAXPROCS). Any worker count mines the same result.
-	Workers int
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -39,9 +33,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MinConfidence <= 0.5 || o.MinConfidence > 1 {
 		return o, fmt.Errorf("mine: min confidence %g must be in (0.5, 1]", o.MinConfidence)
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o, nil
 }
@@ -112,17 +103,19 @@ func sliceCorpus(traces [][]tbuf.Entry) []tagSlice {
 // one the pair statistics dictate.
 //
 // Interleaving artifacts are pruned by acceptance against trace
-// consistency: a candidate flow set survives only if, slice by slice, the
-// interleaved product of its completed instances explains the observed
-// entries (interleave.Counter in Exact mode — the same pinned counting
-// core the reconstruction engine trusts) and every partial projection is a
-// truncation-shaped contiguous fragment. When a slice rejects a candidate
-// flow, the weakest member is ejected into its own flow and acceptance
-// reruns; Splits records how often.
+// consistency: a candidate flow set survives only if, slice by slice, some
+// execution of its completed instances' interleaved product explains the
+// observed entries and every partial projection is a truncation-shaped
+// contiguous fragment. Candidates are chains, so that test is decided in
+// closed form by one pass over each slice (see checkSlice); the cost is
+// linear in corpus entries per acceptance round. When a slice rejects a
+// candidate flow, the weakest member is ejected into its own flow and
+// acceptance reruns; Splits records how often.
 //
 // Two censored classes are excluded and reported rather than guessed at:
 // names occurring more than once per slice (shared across flows —
-// unattributable) and names below MinSupport.
+// unattributable) and names below MinSupport. An entry with an empty
+// message name is malformed and rejects the corpus.
 func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -140,6 +133,9 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	for _, sl := range slices {
 		perSlice := map[string]int{}
 		for _, e := range sl.entries {
+			if e.Msg.Name == "" {
+				return nil, fmt.Errorf("mine: slice (trace %d, tag %d): message with empty name", sl.trace, sl.tag)
+			}
 			st := stats[e.Msg.Name]
 			if st == nil {
 				st = &nameStat{}
@@ -305,7 +301,9 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 		}
 	}
 
-	// Widths the candidate flows are materialized with, per frequent id.
+	// Widths the mined flows are materialized with, per frequent id,
+	// clamped to 1 bit: flow validation rejects zero-width messages and
+	// hand-fed entries may omit Bits.
 	widths := make([]int, n)
 	for i, name := range frequent {
 		widths[i] = stats[name].width
@@ -316,10 +314,7 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 
 	// Acceptance against trace consistency, with eject-and-retry repair.
 	for {
-		verdicts, err := runOracle(slices, groups, frequent, id, widths, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
+		verdicts := runOracle(slices, groups, id)
 		bad := -1
 		for _, v := range verdicts {
 			if v.bad >= 0 {
@@ -386,74 +381,38 @@ type verdict struct {
 	partial   []int // group ids present only as a fragment
 }
 
-// runOracle checks every slice against the candidate flow set, sharding
-// slices across workers. Verdicts are slot-indexed so the outcome is
-// byte-deterministic at any worker count.
-func runOracle(slices []tagSlice, groups [][]int, frequent []string, id map[string]int,
-	widths []int, workers int) ([]verdict, error) {
-	// Materialize one chain flow per candidate; widths are pre-clamped to
-	// 1 bit because flow validation rejects zero-width messages and
-	// hand-fed entries may omit Bits.
-	flows := make([]*flow.Flow, len(groups))
-	gid := make([]int, len(frequent))   // name id -> group
-	grank := make([]int, len(frequent)) // name id -> rank within group
+// runOracle checks every slice against the candidate flow set.
+func runOracle(slices []tagSlice, groups [][]int, id map[string]int) []verdict {
+	gid := make([]int, len(id))   // name id -> group
+	grank := make([]int, len(id)) // name id -> rank within group
 	for gi, g := range groups {
-		b := flow.NewBuilder(fmt.Sprintf("candidate%d", gi))
-		states := make([]string, len(g)+1)
-		for i := range states {
-			states[i] = fmt.Sprintf("S%d", i)
+		for r, mid := range g {
+			gid[mid], grank[mid] = gi, r
 		}
-		b.States(states...)
-		b.Init(states[0])
-		b.Stop(states[len(states)-1])
-		msgs := make([]string, len(g))
-		for i, mid := range g {
-			b.Message(flow.Message{Name: frequent[mid], Width: widths[mid]})
-			msgs[i] = frequent[mid]
-			gid[mid], grank[mid] = gi, i
-		}
-		b.Chain(states, msgs)
-		f, err := b.Build()
-		if err != nil {
-			return nil, fmt.Errorf("mine: candidate flow: %w", err)
-		}
-		flows[gi] = f
 	}
-
 	verdicts := make([]verdict, len(slices))
-	errs := make([]error, len(slices))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	if workers > len(slices) {
-		workers = len(slices)
+	for i, sl := range slices {
+		verdicts[i] = checkSlice(sl, groups, gid, grank, id)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				verdicts[i], errs[i] = checkSlice(slices[i], groups, flows, gid, grank, id)
-			}
-		}()
-	}
-	for i := range slices {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return verdicts, nil
+	return verdicts
 }
 
 // checkSlice classifies each candidate's projection in one slice —
-// complete, truncation-shaped fragment, absent, or inconsistent — and
-// verifies the completed instances jointly explain the slice via the
-// interleaved product's exact path count.
-func checkSlice(sl tagSlice, groups [][]int, flows []*flow.Flow, gid, grank []int, id map[string]int) (verdict, error) {
+// complete, truncation-shaped fragment, absent, or inconsistent — and so
+// decides whether the candidate set explains the slice.
+//
+// Joint consistency needs no product. The slice is explained when the
+// interleaved product of the completed candidates has an execution whose
+// projection onto their messages is exactly the slice's entries of those
+// messages. Candidates are chains with no atomic states, so that product
+// is the full shuffle of their chains: every merge of the chains is an
+// execution. A candidate counts as complete only when its projection is its
+// whole chain in rank order, each message once, and every entry carries the
+// slice's tag. The slice's entries of the completed candidates are thus
+// one merge of their chains — an execution — and the joint test can never
+// reject what the per-candidate test accepts. The product gate this
+// replaces is kept in the tests as the reference that pins the argument.
+func checkSlice(sl tagSlice, groups [][]int, gid, grank []int, id map[string]int) verdict {
 	v := verdict{bad: -1}
 	proj := make([][]int, len(groups)) // per group: ranks in temporal order
 	for _, e := range sl.entries {
@@ -477,7 +436,7 @@ func checkSlice(sl tagSlice, groups [][]int, flows []*flow.Flow, gid, grank []in
 			}
 		}
 		if !okOrder {
-			if v.bad < 0 || gi < v.bad {
+			if v.bad < 0 {
 				v.bad = gi
 			}
 			continue
@@ -489,42 +448,7 @@ func checkSlice(sl tagSlice, groups [][]int, flows []*flow.Flow, gid, grank []in
 			v.truncated = true
 		}
 	}
-	if v.bad >= 0 || len(v.complete) == 0 {
-		return v, nil
-	}
-
-	// The shared counting core as the joint gate: the interleaved product
-	// of the completed instances must have at least one execution whose
-	// traced projection is exactly the observed slice.
-	insts := make([]flow.Instance, len(v.complete))
-	traced := map[string]bool{}
-	for i, gi := range v.complete {
-		insts[i] = flow.Instance{Flow: flows[gi], Index: sl.tag}
-		for _, m := range flows[gi].Messages() {
-			traced[m.Name] = true
-		}
-	}
-	p, err := interleave.New(insts)
-	if err != nil {
-		return v, fmt.Errorf("mine: slice (trace %d, tag %d): %w", sl.trace, sl.tag, err)
-	}
-	var observed []flow.IndexedMsg
-	for _, e := range sl.entries {
-		if traced[e.Msg.Name] {
-			observed = append(observed, e.Msg)
-		}
-	}
-	c, err := p.NewCounter(traced, observed, interleave.Exact)
-	if err != nil {
-		return v, fmt.Errorf("mine: slice (trace %d, tag %d): %w", sl.trace, sl.tag, err)
-	}
-	if c.Total().Sign() == 0 {
-		// Per-candidate projections were consistent, so a joint rejection
-		// can only implicate the set as a whole; blame the first completed
-		// candidate deterministically.
-		v.bad = v.complete[0]
-	}
-	return v, nil
+	return v
 }
 
 // Materialize builds the mined flows as DAGs. A lone flow is named base;

@@ -127,6 +127,62 @@ func TestCorpusRecoversSynthUniverses(t *testing.T) {
 	}
 }
 
+// shuffleCorpus is one trace of tags slices, each a seeded random merge of
+// chains disjoint chains c<i>_m0 … c<i>_m<length-1>: every flow runs
+// concurrently with every other, so no cross-flow order is invariant.
+func shuffleCorpus(chains, length, tags int, seed int64) []tbuf.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	var tr []tbuf.Entry
+	for tag := 1; tag <= tags; tag++ {
+		next := make([]int, chains) // per chain: messages emitted so far
+		live := make([]int, chains) // chains with messages left
+		for c := range live {
+			live[c] = c
+		}
+		for len(live) > 0 {
+			k := rng.Intn(len(live))
+			c := live[k]
+			tr = append(tr, tbuf.Entry{Msg: flow.IndexedMsg{Name: fmt.Sprintf("c%d_m%d", c, next[c]), Index: tag}, Bits: 2})
+			if next[c]++; next[c] == length {
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+	}
+	return tr
+}
+
+// Mining cost must not grow with the number of flows a slice interleaves.
+// Here every slice runs 8 (then 12) flows at once, so the joint product of
+// a slice's completed flows holds 7^8 (5^12) states — past the
+// interleaving cap. Each corpus must still mine exactly its chains.
+func TestCorpusScalesWithConcurrentFlows(t *testing.T) {
+	for _, c := range []struct{ chains, length int }{{8, 6}, {12, 4}} {
+		t.Run(fmt.Sprintf("%dx%d", c.chains, c.length), func(t *testing.T) {
+			const tags = 24
+			res, err := Corpus([][]tbuf.Entry{shuffleCorpus(c.chains, c.length, tags, int64(c.chains))}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Flows) != c.chains || res.Splits != 0 {
+				t.Fatalf("mined %d flows with %d splits, want %d flows and none", len(res.Flows), res.Splits, c.chains)
+			}
+			for _, m := range res.Flows {
+				chain, ok := strings.CutSuffix(m.Order[0].Name, "_m0")
+				if !ok || len(m.Order) != c.length || m.Tags != tags {
+					t.Errorf("mined %d messages from %s over %d complete tags, want a %d-message chain over %d",
+						len(m.Order), m.Order[0].Name, m.Tags, c.length, tags)
+					continue
+				}
+				for j, o := range m.Order {
+					if want := fmt.Sprintf("%s_m%d", chain, j); o.Name != want {
+						t.Errorf("flow %s position %d mined %s, want %s", chain, j, o.Name, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // synthUniverse mirrors synth.Universe's chain construction without
 // importing it (synth depends on nothing here, but keeping mine's test
 // surface to flow/soc keeps the dependency arrow clean): flows u0..u{k-1},
@@ -164,9 +220,10 @@ func synthUniverse(messages, flows int, rng *rand.Rand) ([]flow.Instance, error)
 	return out, nil
 }
 
-// Mining is byte-deterministic at any worker count: the emitted spec
-// document must be identical for Workers 1, 2, and 4.
-func TestCorpusDeterministicAcrossWorkers(t *testing.T) {
+// Mining is byte-deterministic: map iteration feeds the name and pair
+// statistics, so repeated runs over one corpus must still emit identical
+// spec documents.
+func TestCorpusDeterministicAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	insts, err := synthUniverse(10, 3, rng)
 	if err != nil {
@@ -174,10 +231,10 @@ func TestCorpusDeterministicAcrossWorkers(t *testing.T) {
 	}
 	traces := simulateCorpus(t, insts, 6, []int64{70, 71})
 	var golden []byte
-	for _, workers := range []int{1, 2, 4} {
-		res, err := Corpus(traces, Options{Workers: workers})
+	for run := 0; run < 5; run++ {
+		res, err := Corpus(traces, Options{})
 		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		s, err := res.Scenario("mined", 2, 32)
 		if err != nil {
@@ -192,7 +249,7 @@ func TestCorpusDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(golden, buf.Bytes()) {
-			t.Errorf("workers %d mined a different spec", workers)
+			t.Errorf("run %d mined a different spec", run)
 		}
 	}
 }
@@ -291,6 +348,17 @@ func TestCorpusErrors(t *testing.T) {
 	one := []tbuf.Entry{{Msg: flow.IndexedMsg{Name: "a", Index: 1}, Bits: 1}}
 	if _, err := Corpus([][]tbuf.Entry{one}, Options{}); err == nil {
 		t.Error("all-low-support corpus accepted")
+	}
+	// A hand-fed entry with no message name (trace.Parse refuses such
+	// lines) would otherwise be mined as a flow message.
+	var unnamed []tbuf.Entry
+	for tag := 1; tag <= 2; tag++ {
+		unnamed = append(unnamed,
+			tbuf.Entry{Msg: flow.IndexedMsg{Name: "a", Index: tag}, Bits: 1},
+			tbuf.Entry{Msg: flow.IndexedMsg{Index: tag}, Bits: 1})
+	}
+	if _, err := Corpus([][]tbuf.Entry{unnamed}, Options{}); err == nil || !strings.Contains(err.Error(), "empty name") {
+		t.Errorf("entry with empty message name: err = %v", err)
 	}
 	// Scenario materialization guards.
 	r := &Result{Flows: []*Mined{{Order: []Observation{{Name: "a", Width: 1, Count: 1}}}}}

@@ -5,8 +5,9 @@
 // miners are provided: Chain recovers one linear flow from a directed
 // single-protocol test (exactly the single-flow tests of the regression
 // environment), and Corpus infers a whole flow set from interleaved
-// multi-flow trace corpora, pruning interleaving artifacts with the
-// interleave.Counter consistency oracle.
+// multi-flow trace corpora, pruning interleaving artifacts by checking
+// each trace slice for consistency with the candidate chains in one
+// linear pass.
 package mine
 
 import (
