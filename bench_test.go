@@ -216,6 +216,39 @@ func BenchmarkLocalization(b *testing.B) {
 	}
 }
 
+// Exact execution count of a built product: the Counter over an empty
+// observation, which every POST /reconstruct pays for its total. The
+// products are built before the timer starts.
+func BenchmarkTotalPaths(b *testing.B) {
+	s, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t2, err := s.Interleaving()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc := tracescale.CacheCoherence()
+	insts := make([]tracescale.Instance, 6)
+	for i := range insts {
+		insts[i] = tracescale.Instance{Flow: cc, Index: i + 1}
+	}
+	ccx6, err := interleave.New(insts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *interleave.Product
+	}{{"t2-scenario3", t2}, {"cc-x6", ccx6}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.p.TotalPaths()
+			}
+		})
+	}
+}
+
 func BenchmarkSoCSimScenario1(b *testing.B) {
 	s, _ := opensparc.ScenarioByID(1)
 	sc := soc.Scenario{Name: s.Name, Launches: s.Launches(exp.InstancesPerFlow, 24)}

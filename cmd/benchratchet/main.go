@@ -45,9 +45,9 @@ var errUsage = fmt.Errorf("usage")
 
 // defaultBench is the ratcheted benchmark set: the selector strategies,
 // the end-to-end Fig. 5 pipeline they sit inside, session analysis plus
-// selection at growing instance counts and universe sizes, and corpus
-// mining.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$"
+// selection at growing instance counts and universe sizes, corpus mining,
+// and the product's execution count.
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$|BenchmarkTotalPaths$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

@@ -1,19 +1,21 @@
-// Command tracemine bootstraps flow collateral from traces. Given trace
-// files of directed tests that exercise one protocol, it mines the per-tag
-// message order; given an interleaved multi-flow corpus, it infers the
-// whole flow set, censoring shared and rare messages and pruning
-// interleaving artifacts against trace consistency. Either way it can emit
-// a scenario spec that cmd/tracesel and the mined-vs-truth campaign run
-// selection on — closing the loop from silicon observation back to the
-// flow specifications the method needs.
+// Command tracemine bootstraps flow collateral from traces. Given a trace
+// corpus — directed tests that exercise one protocol, or interleaved
+// multi-flow runs — it infers the flow set, censoring shared and rare
+// messages and pruning interleaving artifacts against trace consistency,
+// and can emit a scenario spec that cmd/tracesel and the mined-vs-truth
+// campaign run selection on — closing the loop from silicon observation
+// back to the flow specifications the method needs.
 //
-//	tracemine pio.trace                          # mined chain summary
-//	tracemine run1.trace run2.trace              # merge a single-flow corpus
+//	tracemine pio.trace                          # mined flow summary
+//	tracemine run1.trace run2.trace              # mine a multi-file corpus
 //	tracemine traces/                            # every *.trace in a directory
 //	tracemine -spec -name PIOR pio.trace         # scenario spec (JSON) on stdout
 //	tracemine -spec -instances 2 pio.trace       # two legally indexed instances
-//	tracemine -interleaved traces/               # mine a multi-flow corpus
-//	tracemine -interleaved -min-support 3 -spec -name t2mix traces/
+//	tracemine -min-support 3 -spec -name t2mix traces/
+//
+// A message is mined only if it occurs in -min-support transaction slices
+// (default 2), so a corpus holding a single transaction needs
+// -min-support 1.
 package main
 
 import (
@@ -50,13 +52,12 @@ var errUsage = fmt.Errorf("usage")
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tracemine", flag.ContinueOnError)
 	var (
-		emitSpec    = fs.Bool("spec", false, "emit a scenario spec (JSON) instead of a summary")
-		name        = fs.String("name", "mined", "flow name for the emitted spec")
-		instances   = fs.Int("instances", 1, "indexed instances per flow in the emitted scenario")
-		width       = fs.Int("width", 32, "trace buffer width in the emitted spec")
-		interleaved = fs.Bool("interleaved", false, "mine a multi-flow corpus instead of a single chain")
-		minSupport  = fs.Int("min-support", 0, "slices a message must occur in to be mined (default 2)")
-		confidence  = fs.Float64("min-confidence", 0, "fraction of pair co-occurrences that must agree on one order (default 1)")
+		emitSpec   = fs.Bool("spec", false, "emit a scenario spec (JSON) instead of a summary")
+		name       = fs.String("name", "mined", "flow name for the emitted spec")
+		instances  = fs.Int("instances", 1, "indexed instances per flow in the emitted scenario")
+		width      = fs.Int("width", 32, "trace buffer width in the emitted spec")
+		minSupport = fs.Int("min-support", 0, "slices a message must occur in to be mined (default 2)")
+		confidence = fs.Float64("min-confidence", 0, "fraction of pair co-occurrences that must agree on one order (default 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -83,48 +84,14 @@ func run(args []string, w io.Writer) error {
 		traces[i] = entries
 	}
 
-	if *interleaved {
-		res, err := mine.Corpus(traces, mine.Options{MinSupport: *minSupport, MinConfidence: *confidence})
-		if err != nil {
-			return err
-		}
-		if !*emitSpec {
-			renderCorpus(w, res)
-			return nil
-		}
-		s, err := res.Scenario(*name, *instances, *width)
-		if err != nil {
-			return err
-		}
-		return spec.Write(w, s)
-	}
-
-	// Single-protocol mode: each file is one directed test of the same
-	// flow; chains are mined per file and merged.
-	chains := make([]*mine.Mined, len(traces))
-	for i, entries := range traces {
-		m, err := mine.Chain(entries)
-		if err != nil {
-			return fmt.Errorf("%s: %w", paths[i], err)
-		}
-		chains[i] = m
-	}
-	mined, err := mine.Merge(chains)
+	res, err := mine.Corpus(traces, mine.Options{MinSupport: *minSupport, MinConfidence: *confidence})
 	if err != nil {
 		return err
 	}
 	if !*emitSpec {
-		fmt.Fprintf(w, "mined a %d-message chain from %d transactions across %d traces", len(mined.Order), mined.Tags, len(paths))
-		if mined.Skipped > 0 {
-			fmt.Fprintf(w, " (%d truncated skipped)", mined.Skipped)
-		}
-		fmt.Fprintln(w, ":")
-		for i, o := range mined.Order {
-			fmt.Fprintf(w, "  %2d. %-16s %2d bits (%d occurrences)\n", i+1, o.Name, o.Width, o.Count)
-		}
+		renderCorpus(w, res)
 		return nil
 	}
-	res := &mine.Result{Flows: []*mine.Mined{mined}}
 	s, err := res.Scenario(*name, *instances, *width)
 	if err != nil {
 		return err

@@ -49,6 +49,7 @@ func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	single := writeTrace(t, dir, "single.trace", chainEntries(3, "a", "b", "c"))
 	second := writeTrace(t, dir, "second.trace", chainEntries(2, "a", "b", "c"))
+	lone := writeTrace(t, dir, "lone.trace", chainEntries(1, "a", "b", "c"))
 	// An interleaved two-flow corpus: per tag, flow [a, b] and flow [x, y]
 	// in varied relative orders so the pair statistics separate them.
 	mix := func(tag int, names ...string) []tbuf.Entry {
@@ -81,12 +82,12 @@ func TestRun(t *testing.T) {
 		{
 			name: "summary",
 			args: []string{single},
-			want: []string{"mined a 3-message chain from 3 transactions across 1 traces", "1. a", "3. c"},
+			want: []string{"mined 1 flows from 3 transaction slices across 1 traces", "flow 0 (3 complete, 0 truncated)", "1. a", "3. c"},
 		},
 		{
 			name: "merged summary",
 			args: []string{single, second},
-			want: []string{"from 5 transactions across 2 traces"},
+			want: []string{"mined 1 flows from 5 transaction slices across 2 traces", "(5 complete, 0 truncated)"},
 		},
 		{
 			name: "directory expansion visits sorted traces",
@@ -97,7 +98,7 @@ func TestRun(t *testing.T) {
 		},
 		{
 			name: "interleaved summary",
-			args: []string{"-interleaved", interleavedPath},
+			args: []string{interleavedPath},
 			want: []string{"mined 2 flows from 4 transaction slices", "a", "x"},
 		},
 		{
@@ -117,8 +118,18 @@ func TestRun(t *testing.T) {
 		},
 		{
 			name:    "interleaved rejects bad support",
-			args:    []string{"-interleaved", "-min-support", "-1", interleavedPath},
+			args:    []string{"-min-support", "-1", interleavedPath},
 			wantErr: "min support",
+		},
+		{
+			name:    "single transaction is below the default support",
+			args:    []string{lone},
+			wantErr: "no message occurs in 2 or more slices",
+		},
+		{
+			name: "single transaction mines at support 1",
+			args: []string{"-min-support", "1", lone},
+			want: []string{"mined 1 flows from 1 transaction slices across 1 traces", "3. c"},
 		},
 		{
 			name:    "instances must be positive",
@@ -172,7 +183,7 @@ func TestRunEmitsValidSpecs(t *testing.T) {
 	}{
 		{"single flow", []string{"-spec", "-name", "pio", single}, 1, 1},
 		{"two instances", []string{"-spec", "-instances", "2", single}, 1, 2},
-		{"interleaved corpus", []string{"-interleaved", "-spec", "-name", "mixed", "-instances", "2", mixed}, 2, 2},
+		{"interleaved corpus", []string{"-spec", "-name", "mixed", "-instances", "2", mixed}, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

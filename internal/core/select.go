@@ -17,19 +17,20 @@ type Config struct {
 	// MaxCandidates bounds the Step-2 search (default 1<<22): exhaustive
 	// enumeration fails rather than hang when the message universe is too
 	// large for it — use Knapsack or BranchBound there — and BranchBound
-	// caps explored search nodes per worker at the same bound.
+	// caps its explored search nodes at the same bound.
 	MaxCandidates int
 	// KeepCandidates retains every feasible candidate with its gain and
 	// coverage in Result.Candidates (needed for the Figure-5 correlation
 	// study). Only the Exhaustive method supports it (see Capabilities);
 	// Select rejects the combination for every other method.
 	KeepCandidates bool
-	// Workers bounds the goroutines a sharding strategy (Exhaustive,
-	// BranchBound — see Capabilities) spreads its search across. Zero means
-	// GOMAXPROCS; one forces the serial scan. Every worker count selects a
-	// byte-identical Result: shards are merged in ascending order with the
-	// same tie-breaks the serial scan applies, so parallelism never changes
-	// which candidate wins. Strategies that cannot shard reject Workers > 1.
+	// Workers bounds the goroutines the exhaustive scan (the one sharding
+	// strategy — see Capabilities) spreads its mask space across. Zero
+	// means GOMAXPROCS; one forces the serial scan. Every worker count
+	// selects a byte-identical Result: shards are merged in ascending order
+	// with the same tie-breaks the serial scan applies, so parallelism
+	// never changes which candidate wins. Every other strategy, branch-bound
+	// included, searches serially and rejects Workers > 1.
 	Workers int
 }
 

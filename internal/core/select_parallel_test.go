@@ -108,12 +108,11 @@ func TestSelectExhaustiveMoreWorkersThanMasks(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchSerialDifferential is the multi-word determinism
-// contract of the worker fan-out: across 44 seeded universes — exhaustive
-// mask scans at 6-16 messages, some keeping every candidate, and, past the
-// 63-message single-word ceiling, branch-bound multi-word searches at
-// 64-72 messages — a selection at Workers 2 and 4 marshals byte-identical
-// to Workers 1, and an infeasible one fails with identical error text.
+// TestWorkersMatchSerialDifferential is the determinism contract of the
+// exhaustive worker fan-out: across 36 seeded universes of 6-16 messages,
+// some keeping every candidate, a selection at Workers 2 and 4 marshals
+// byte-identical to Workers 1, and an infeasible one fails with identical
+// error text.
 func TestWorkersMatchSerialDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	marshal := func(res *Result) []byte {
@@ -124,14 +123,8 @@ func TestWorkersMatchSerialDifferential(t *testing.T) {
 		return data
 	}
 	feasible := 0
-	for trial := 0; trial < 44; trial++ {
+	for trial := 0; trial < 36; trial++ {
 		messages := 6 + rng.Intn(11) // 6..16: exhaustive territory
-		method := Exhaustive
-		if trial >= 36 {
-			// Multi-word masks: the 64-message boundary and beyond.
-			messages = 64 + rng.Intn(9) // 64..72
-			method = BranchBound
-		}
 		flows := 1 + rng.Intn(3)
 		if flows > messages {
 			flows = messages
@@ -140,8 +133,8 @@ func TestWorkersMatchSerialDifferential(t *testing.T) {
 		e := universeEvaluator(t, messages, flows,
 			synth.Params{MaxWidth: 1 + rng.Intn(7), IPs: 3}, 9000+int64(trial))
 
-		cfg := Config{BufferWidth: budget, Method: method, Workers: 1}
-		if method == Exhaustive && messages <= 10 && trial%5 == 0 {
+		cfg := Config{BufferWidth: budget, Workers: 1}
+		if messages <= 10 && trial%5 == 0 {
 			cfg.KeepCandidates = true
 		}
 		serial, serr := Select(e, cfg)
@@ -155,8 +148,8 @@ func TestWorkersMatchSerialDifferential(t *testing.T) {
 			pcfg.Workers = workers
 			par, perr := Select(e, pcfg)
 			if (serr == nil) != (perr == nil) {
-				t.Fatalf("trial %d (n=%d budget=%d %v, %d workers): serial err %v vs parallel err %v",
-					trial, messages, budget, method, workers, serr, perr)
+				t.Fatalf("trial %d (n=%d budget=%d, %d workers): serial err %v vs parallel err %v",
+					trial, messages, budget, workers, serr, perr)
 			}
 			if serr != nil {
 				if serr.Error() != perr.Error() {
@@ -165,8 +158,8 @@ func TestWorkersMatchSerialDifferential(t *testing.T) {
 				continue
 			}
 			if got := marshal(par); !bytes.Equal(got, want) {
-				t.Errorf("trial %d (n=%d budget=%d %v, %d workers): parallel result diverged\n got %s\nwant %s",
-					trial, messages, budget, method, workers, got, want)
+				t.Errorf("trial %d (n=%d budget=%d, %d workers): parallel result diverged\n got %s\nwant %s",
+					trial, messages, budget, workers, got, want)
 			}
 		}
 	}

@@ -4,18 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 )
 
-// branchBoundStrategy is the exact lattice search. It shards its root
-// branches across Workers but never materializes the candidate set, so
-// KeepCandidates is rejected.
+// branchBoundStrategy is the exact lattice search. It runs serially and
+// never materializes the candidate set, so Workers > 1 and KeepCandidates
+// are rejected.
 type branchBoundStrategy struct{}
 
 func (branchBoundStrategy) Name() string { return "branch-bound" }
 
-func (branchBoundStrategy) Capabilities() Capabilities { return Capabilities{Workers: true} }
+func (branchBoundStrategy) Capabilities() Capabilities { return Capabilities{} }
 
 func (branchBoundStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, err := selectBranchBound(ctx, e, cfg)
@@ -61,20 +60,25 @@ func (e *Evaluator) candidateFromWide(s wideScored) Candidate {
 	return c
 }
 
-// bbSearch is the read-only state every branch-and-bound worker shares.
+// bbSearch is one branch-and-bound search: the gain-density order and
+// budget it explores, the DFS path mask, a rescoring scratch bitset, the
+// incumbent, and the node count.
 type bbSearch struct {
 	e      *Evaluator
 	order  []int // universe indices, gain density descending, index ascending
 	budget int
-	// maxNodes caps the search nodes (= feasible subsets visited) per
-	// worker — Config.MaxCandidates repurposed: where exhaustive refuses
-	// mask spaces it cannot enumerate, branch-and-bound refuses searches
-	// whose pruning is not biting. The cap is per worker, so a sharded run
-	// may finish a search a serial run would refuse; it never fails where
-	// exhaustive would have succeeded, because nodes never exceed the
-	// feasible-subset count, which is < 2^n ≤ MaxCandidates whenever
-	// exhaustive runs at all.
+	// maxNodes caps the search nodes (= feasible subsets visited) —
+	// Config.MaxCandidates repurposed: where exhaustive refuses mask spaces
+	// it cannot enumerate, branch-and-bound refuses searches whose pruning
+	// is not biting. It never fails where exhaustive would have succeeded,
+	// because nodes never exceed the feasible-subset count, which is
+	// < 2^n ≤ MaxCandidates whenever exhaustive runs at all.
 	maxNodes int64
+	path     bitset
+	vis      bitset
+	best     wideScored
+	found    bool
+	nodes    int64
 }
 
 // bound is the fractional-knapsack upper bound on the total gain any
@@ -102,21 +106,6 @@ func (s *bbSearch) bound(pos, left int) float64 {
 	return b
 }
 
-// bbWorker is one worker's mutable search state: the DFS path mask, a
-// rescoring scratch bitset, the local incumbent, and the node count.
-// Workers share nothing mutable, so a sharded search is deterministic and
-// race-free by construction; local (rather than shared) incumbents only
-// cost pruning power, never correctness, because pruning below any
-// incumbent discards only candidates that could not win anyway.
-type bbWorker struct {
-	s     *bbSearch
-	path  bitset
-	vis   bitset
-	best  wideScored
-	found bool
-	nodes int64
-}
-
 // consider canonically rescores the current path and challenges the
 // incumbent. The path's running gain accumulates in DFS (density) order;
 // float addition is not associative, so the score that competes — and is
@@ -124,27 +113,27 @@ type bbWorker struct {
 // bit-for-bit the summation order the exhaustive scanMasks uses. The
 // incumbent rule is the exhaustive merge's: strictly better wins, full
 // ties keep the lowest mask.
-func (w *bbWorker) consider() {
+func (s *bbSearch) consider() {
 	width := 0
-	for wd, word := range w.path {
+	for wd, word := range s.path {
 		for m := word; m != 0; m &= m - 1 {
-			width += w.s.e.widthOf[wd*64+bits.TrailingZeros64(m)]
+			width += s.e.widthOf[wd*64+bits.TrailingZeros64(m)]
 		}
 	}
 	gain := 0.0
-	w.vis.clear()
-	for wd, word := range w.path {
+	s.vis.clear()
+	for wd, word := range s.path {
 		for m := word; m != 0; m &= m - 1 {
 			i := wd*64 + bits.TrailingZeros64(m)
-			gain += w.s.e.gainOf[i]
-			w.vis.or(w.s.e.visibleOf[i])
+			gain += s.e.gainOf[i]
+			s.vis.or(s.e.visibleOf[i])
 		}
 	}
-	c := wideScored{width: width, gain: gain, coverage: w.s.e.coverage(w.vis)}
-	if !w.found || wideBetter(c, w.best) || (wideTie(c, w.best) && w.path.less(w.best.mask)) {
-		c.mask = w.path.clone()
-		w.best = c
-		w.found = true
+	c := wideScored{width: width, gain: gain, coverage: s.e.coverage(s.vis)}
+	if !s.found || wideBetter(c, s.best) || (wideTie(c, s.best) && s.path.less(s.best.mask)) {
+		c.mask = s.path.clone()
+		s.best = c
+		s.found = true
 	}
 }
 
@@ -152,32 +141,31 @@ func (w *bbWorker) consider() {
 // partial selection of the given width and running gain. Infeasible picks
 // return immediately (and cost no node); feasible picks are themselves
 // candidates, challenged against the incumbent before recursing.
-func (w *bbWorker) branch(ctx context.Context, j, width int, pathGain float64) error {
-	s := w.s
+func (s *bbSearch) branch(ctx context.Context, j, width int, pathGain float64) error {
 	i := s.order[j]
 	wd := s.e.widthOf[i]
 	if width+wd > s.budget {
 		return nil
 	}
-	w.nodes++
-	if w.nodes > s.maxNodes {
+	s.nodes++
+	if s.nodes > s.maxNodes {
 		return fmt.Errorf("core: branch-and-bound explored over MaxCandidates=%d nodes without converging; raise MaxCandidates", s.maxNodes)
 	}
-	if w.nodes&(cancelCheckMasks-1) == 0 {
+	if s.nodes&(cancelCheckMasks-1) == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
-	w.path.set(i)
+	s.path.set(i)
 	candGain := pathGain + s.e.gainOf[i]
 	// Rescore only contenders: a path whose running gain is already below
 	// the incumbent by more than the tie tolerance cannot replace it (the
 	// running/canonical float difference is ~ulps, far inside scoreEps).
-	if !w.found || candGain > w.best.gain-scoreEps {
-		w.consider()
+	if !s.found || candGain > s.best.gain-scoreEps {
+		s.consider()
 	}
-	err := w.dfs(ctx, j+1, width+wd, candGain)
-	w.path.unset(i)
+	err := s.dfs(ctx, j+1, width+wd, candGain)
+	s.path.unset(i)
 	return err
 }
 
@@ -185,40 +173,22 @@ func (w *bbWorker) branch(ctx context.Context, j, width int, pathGain float64) e
 // pos, pruning on the fractional bound. The bound is non-increasing in
 // position (see bound), so the first pruned sibling prunes all that
 // follow.
-func (w *bbWorker) dfs(ctx context.Context, pos, width int, pathGain float64) error {
-	s := w.s
+func (s *bbSearch) dfs(ctx context.Context, pos, width int, pathGain float64) error {
 	left := s.budget - width
 	for j := pos; j < len(s.order); j++ {
-		if w.found && pathGain+s.bound(j, left) < w.best.gain-scoreEps {
+		if s.found && pathGain+s.bound(j, left) < s.best.gain-scoreEps {
 			return nil
 		}
-		if err := w.branch(ctx, j, width, pathGain); err != nil {
+		if err := s.branch(ctx, j, width, pathGain); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// run explores every subtree rooted at order position start, start+stride,
-// ... — the round-robin sharding selectBranchBound assigns. Root bounds
-// are non-increasing along order too, so the worker stops at its first
-// pruned root.
-func (w *bbWorker) run(ctx context.Context, start, stride int) error {
-	s := w.s
-	for j := start; j < len(s.order); j += stride {
-		if w.found && s.bound(j, s.budget) < w.best.gain-scoreEps {
-			return nil
-		}
-		if err := w.branch(ctx, j, 0, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newBBSearch builds the shared read-only search state: the gain-density
-// order (stable, so density ties keep ascending universe order) and the
-// budget/node-cap parameters.
+// newBBSearch builds a search over e: the gain-density order (stable, so
+// density ties keep ascending universe order), the budget and node cap,
+// and empty path and scratch bitsets.
 func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 	n := len(e.universe)
 	order := make([]int, n)
@@ -235,26 +205,9 @@ func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
 		order:    order,
 		budget:   budget,
 		maxNodes: maxNodes,
+		path:     newBitset(n),
+		vis:      e.newCover(),
 	}
-}
-
-// mergeBranchBound folds the workers' incumbents in ascending root order
-// with the full comparator — strictly better wins, full ties keep the
-// lowest universe-order mask — and sums their node counts. Root deals are
-// interleaved, so unlike the exhaustive ranges the lowest-mask tie-break
-// does real work here.
-func mergeBranchBound(workers []*bbWorker) (best wideScored, found bool, nodes int64) {
-	for _, w := range workers {
-		nodes += w.nodes
-		if !w.found {
-			continue
-		}
-		if !found || wideBetter(w.best, best) || (wideTie(w.best, best) && w.best.mask.less(best.mask)) {
-			best = w.best
-			found = true
-		}
-	}
-	return best, found, nodes
 }
 
 // selectBranchBound is the exact Step-2 search without the 2^n sweep:
@@ -271,13 +224,7 @@ func mergeBranchBound(workers []*bbWorker) (best wideScored, found bool, nodes i
 // universe-order mask) is the same order-independent comparator the
 // exhaustive merge applies — so the surviving winner is the exhaustive
 // winner, byte for byte, wherever exhaustive is feasible. The
-// differential suite pins this, Workers 1 and 4, under -race.
-//
-// Workers deal root branches round-robin — worker w explores roots w,
-// w+workers, ... on its own goroutine, with its own incumbent and path
-// state over the shared read-only search — and the merge applies the full
-// comparator in ascending worker order, so any worker count selects a
-// byte-identical result.
+// differential suite pins this.
 func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate, error) {
 	n := len(e.universe)
 	anyFits := false
@@ -288,41 +235,17 @@ func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate
 		return Candidate{}, errNothingFits(cfg.BufferWidth)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Small universes finish in microseconds serially; fan-out would
-		// cost more than it saves. An explicit Workers count is honored
-		// regardless (tests force the parallel path this way).
-		const minParallelMessages = 24
-		if n < minParallelMessages {
-			workers = 1
-		}
-	}
-	if workers > n {
-		workers = n
-	}
-
 	s := newBBSearch(e, cfg.BufferWidth, int64(cfg.MaxCandidates))
-	ws := make([]*bbWorker, workers)
-	for i := range ws {
-		ws[i] = &bbWorker{s: s, path: newBitset(n), vis: e.newCover()}
-	}
-	err := runShards(ctx, e, workers, "select-branch-bound", func(ctx context.Context, i int) error {
-		return ws[i].run(ctx, i, workers)
-	})
-	if err != nil {
+	if err := s.dfs(ctx, 0, 0, 0); err != nil {
 		return Candidate{}, err
 	}
-	best, found, nodes := mergeBranchBound(ws)
 	if reg := e.obs; reg != nil {
-		reg.Add("core.select.bb_nodes", nodes)
-		reg.Gauge("core.select.workers").Set(int64(workers))
+		reg.Add("core.select.bb_nodes", s.nodes)
 	}
-	if !found {
+	if !s.found {
 		// Unreachable given anyFits, but kept as a defensive parity with
 		// the other strategies' infeasibility contract.
 		return Candidate{}, errNothingFits(cfg.BufferWidth)
 	}
-	return e.candidateFromWide(best), nil
+	return e.candidateFromWide(s.best), nil
 }

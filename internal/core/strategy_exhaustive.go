@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
+	"sync"
 )
 
 // exhaustiveStrategy is the paper's reference search: enumerate every
@@ -130,13 +133,14 @@ func errTooManyMasks(n, maxCandidates int) error {
 	return fmt.Errorf("core: 2^%d combinations exceed MaxCandidates=%d; use Knapsack or BranchBound", n, maxCandidates)
 }
 
-// exhaustiveShard is one mask range's scan outcome: the range's incumbent
-// and, when KeepCandidates asks for them, its feasible candidates in mask
-// order.
+// exhaustiveShard is one mask range's scan outcome: the range's incumbent,
+// when KeepCandidates asks for them its feasible candidates in mask order,
+// and the context error that aborted the scan, if any.
 type exhaustiveShard struct {
 	best  scored
 	found bool
 	all   []Candidate
+	err   error
 }
 
 // mergeExhaustiveShards folds shard outcomes in ascending range order under
@@ -165,7 +169,8 @@ func mergeExhaustiveShards(shards []exhaustiveShard) (best scored, found bool, a
 // exact tie-breaks (equal-score candidates keep the lowest mask), so any
 // worker count selects a byte-identical result. The lowest-mask tie-break
 // is what reproduces the paper's choice of {ReqE, GntE} among the toy
-// example's three gain-tied pairs.
+// example's three gain-tied pairs. pprof labels attribute each shard's
+// CPU samples to its range.
 //
 // Cancelling ctx makes every range scan abort at its next poll boundary;
 // the join then discards the partial incumbents and returns ctx's error,
@@ -201,19 +206,42 @@ func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate,
 
 	shards := make([]exhaustiveShard, workers)
 	span := (end - 1) / uint64(workers)
-	err := runShards(ctx, e, workers, "select-exhaustive", func(ctx context.Context, w int) error {
+	scan := func(ctx context.Context, w int) {
 		lo := 1 + uint64(w)*span
 		hi := lo + span
 		if w == workers-1 {
 			hi = end
 		}
 		s := &shards[w]
-		var err error
-		s.best, s.found, s.all, err = e.scanMasks(ctx, lo, hi, cfg.BufferWidth, cfg.KeepCandidates)
-		return err
-	})
-	if err != nil {
-		return Candidate{}, nil, err
+		s.best, s.found, s.all, s.err = e.scanMasks(ctx, lo, hi, cfg.BufferWidth, cfg.KeepCandidates)
+	}
+	if workers == 1 {
+		scan(ctx, 0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range shards {
+			wg.Add(1)
+			go pprof.Do(ctx,
+				pprof.Labels("tracescale.pool", "select-exhaustive", "tracescale.shard", strconv.Itoa(w)),
+				func(ctx context.Context) {
+					defer wg.Done()
+					scan(ctx, w)
+				})
+		}
+		wg.Wait()
+	}
+	var aborted int64
+	for _, s := range shards {
+		if s.err != nil {
+			aborted++
+		}
+	}
+	if aborted > 0 {
+		// scanMasks fails only on ctx, so ctx.Err() is that error.
+		if reg := e.obs; reg != nil {
+			reg.Add("core.select.shards_cancelled", aborted)
+		}
+		return Candidate{}, nil, ctx.Err()
 	}
 	best, found, all := mergeExhaustiveShards(shards)
 	if reg := e.obs; reg != nil {

@@ -1,7 +1,8 @@
 // Package graph provides small, dependency-free directed-graph utilities
 // used across tracescale: topological sorting and cycle detection for flow
-// DAG validation, exact path counting for interleaved-flow localization
-// metrics, and PageRank for the PRNet baseline signal selector.
+// DAG validation and netlist levelization, and PageRank for the PRNet
+// baseline signal selector. Interleaved-flow executions are counted by
+// interleave.Counter, not here.
 package graph
 
 import "fmt"

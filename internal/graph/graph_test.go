@@ -2,10 +2,8 @@ package graph
 
 import (
 	"math"
-	"math/big"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func diamond() *Directed {
@@ -136,80 +134,6 @@ func TestIsDAGEmpty(t *testing.T) {
 	}
 }
 
-func TestCountPathsDiamond(t *testing.T) {
-	g := diamond()
-	count, err := g.CountPaths([]int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count[0].Int64() != 2 {
-		t.Errorf("paths from 0 = %v, want 2", count[0])
-	}
-	if count[3].Int64() != 1 {
-		t.Errorf("paths from sink = %v, want 1", count[3])
-	}
-}
-
-func TestTotalPaths(t *testing.T) {
-	g := diamond()
-	total, err := g.TotalPaths([]int{0}, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != 2 {
-		t.Errorf("total = %v, want 2", total)
-	}
-	// Duplicate sources must not double-count.
-	total, err = g.TotalPaths([]int{0, 0}, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Int64() != 2 {
-		t.Errorf("total with dup sources = %v, want 2", total)
-	}
-}
-
-func TestCountPathsCycleError(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	if _, err := g.CountPaths([]int{1}); err != ErrCycle {
-		t.Fatalf("err = %v, want ErrCycle", err)
-	}
-}
-
-// A ladder of k diamonds has 2^k paths: exponential counting must be exact.
-func TestCountPathsExponential(t *testing.T) {
-	const k = 80
-	g := New(3*k + 1)
-	for i := 0; i < k; i++ {
-		base := 3 * i
-		g.AddEdge(base, base+1)
-		g.AddEdge(base, base+2)
-		g.AddEdge(base+1, base+3)
-		g.AddEdge(base+2, base+3)
-	}
-	total, err := g.TotalPaths([]int{0}, []int{3 * k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Lsh(big.NewInt(1), k)
-	if total.Cmp(want) != 0 {
-		t.Errorf("total = %v, want 2^%d", total, k)
-	}
-}
-
-func TestLongestPathLen(t *testing.T) {
-	g := diamond()
-	l, err := g.LongestPathLen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != 2 {
-		t.Errorf("longest = %d, want 2", l)
-	}
-}
-
 func TestPageRankUniformOnCycle(t *testing.T) {
 	g := New(4)
 	for i := 0; i < 4; i++ {
@@ -259,44 +183,5 @@ func TestPageRankHub(t *testing.T) {
 func TestPageRankEmpty(t *testing.T) {
 	if r := New(0).PageRank(PageRankOptions{}); r != nil {
 		t.Errorf("rank of empty graph = %v, want nil", r)
-	}
-}
-
-// Property: for random DAGs (edges only from lower to higher ids), TopoSort
-// succeeds and path counts are non-negative, with sources >= sinks' count
-// monotonicity along edges: count(u) = sum over succ counts (+1 if sink).
-func TestCountPathsPropertyRandomDAG(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := New(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					g.AddEdge(u, v)
-				}
-			}
-		}
-		sinks := []int{n - 1}
-		count, err := g.CountPaths(sinks)
-		if err != nil {
-			return false
-		}
-		for u := 0; u < n; u++ {
-			sum := new(big.Int)
-			if u == n-1 {
-				sum.SetInt64(1)
-			}
-			for _, v := range g.Succ(u) {
-				sum.Add(sum, count[v])
-			}
-			if sum.Cmp(count[u]) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -7,14 +7,17 @@ import (
 	"tracescale/internal/flow"
 )
 
-// Counter is the reconstruction counting core: the (state, matched-prefix)
-// dynamic program over consistent completions that ConsistentPaths, the DOT
-// highlighter, and the reconstruction engine (internal/reconstruct) all
-// share. Build one per (traced set, observation, match mode); the memo is
-// filled lazily and reused across every From query, so callers that probe
-// many (state, matched) coordinates — per-edge highlighting, per-step
-// survivor counts, witness enumeration — pay the DP once instead of once
-// per probe.
+// Counter is the product's one execution-counting core: the (state,
+// matched-prefix) dynamic program over consistent completions. TotalPaths
+// (an empty observation), ConsistentPaths, ConsistentPathsUnindexed, the
+// DOT highlighter, and the reconstruction engine (internal/reconstruct)
+// all count through it. Build one per (traced set, observation, match
+// mode); the memo is filled lazily and reused across every From query, so
+// callers that probe many (state, matched) coordinates — per-edge
+// highlighting, per-step survivor counts, witness enumeration — pay the DP
+// once instead of once per probe. A memo row is allocated on the first
+// From query at its state, so a caller that only classifies edges with
+// Step holds O(states) memory.
 //
 // A Counter is not safe for concurrent use: From mutates the memo.
 type Counter struct {
@@ -22,11 +25,14 @@ type Counter struct {
 	traced   map[string]bool
 	observed []flow.IndexedMsg
 	mode     MatchMode
-	isStop   []bool
+	// byName matches observed entries by message name alone, ignoring the
+	// instance tag (ConsistentPathsUnindexed).
+	byName bool
+	isStop []bool
 	// memo[u][j] = number of consistent completions from product state u
-	// with j observed messages already matched. nil marks "not computed";
-	// products of DAGs are acyclic, so the pre-publication in From cannot
-	// be re-entered.
+	// with j observed messages already matched. A nil row or cell marks
+	// "not computed"; products of DAGs are acyclic, so the pre-publication
+	// in From cannot be re-entered.
 	memo [][]*big.Int
 }
 
@@ -39,22 +45,23 @@ func (p *Product) NewCounter(traced map[string]bool, observed []flow.IndexedMsg,
 			return nil, fmt.Errorf("interleave: observed message %s is not in the traced set", m)
 		}
 	}
-	n := p.NumStates()
+	return p.newCounter(traced, observed, mode), nil
+}
+
+// newCounter is NewCounter without the observation check.
+func (p *Product) newCounter(traced map[string]bool, observed []flow.IndexedMsg, mode MatchMode) *Counter {
 	c := &Counter{
 		p:        p,
 		traced:   traced,
 		observed: observed,
 		mode:     mode,
-		isStop:   make([]bool, n),
-		memo:     make([][]*big.Int, n),
+		isStop:   make([]bool, p.NumStates()),
+		memo:     make([][]*big.Int, p.NumStates()),
 	}
 	for _, s := range p.stop {
 		c.isStop[s] = true
 	}
-	for i := range c.memo {
-		c.memo[i] = make([]*big.Int, len(observed)+1)
-	}
-	return c, nil
+	return c
 }
 
 // Observed returns the observation the counter was built over. The slice
@@ -73,7 +80,7 @@ func (c *Counter) Step(m flow.IndexedMsg, j int) (int, bool) {
 	switch {
 	case !c.traced[m.Name]:
 		return j, true
-	case j < k && m == c.observed[j]:
+	case j < k && m.Name == c.observed[j].Name && (c.byName || m.Index == c.observed[j].Index):
 		return j + 1, true
 	case j == k && c.mode == Prefix:
 		return j, true
@@ -86,11 +93,16 @@ func (c *Counter) Step(m flow.IndexedMsg, j int) (int, bool) {
 // with j observed messages already matched. The returned value is shared
 // with the memo and must not be modified.
 func (c *Counter) From(u, j int) *big.Int {
-	if got := c.memo[u][j]; got != nil {
+	row := c.memo[u]
+	if row == nil {
+		row = make([]*big.Int, len(c.observed)+1)
+		c.memo[u] = row
+	}
+	if got := row[j]; got != nil {
 		return got
 	}
 	n := new(big.Int)
-	c.memo[u][j] = n
+	row[j] = n
 	if c.isStop[u] && j == len(c.observed) {
 		n.SetInt64(1)
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tracescale/internal/flow"
-	"tracescale/internal/graph"
 	"tracescale/internal/obs"
 )
 
@@ -305,25 +304,12 @@ func (p *Product) Message(e Edge) flow.Message {
 	return f.Message(f.Edges()[e.FlowEdge].Msg)
 }
 
-// Graph returns the product's shape as a directed graph (labels dropped).
-func (p *Product) Graph() *graph.Directed {
-	g := graph.New(p.NumStates())
-	for u := range p.out {
-		for _, e := range p.out[u] {
-			g.AddEdge(u, e.To)
-		}
-	}
-	return g
-}
-
 // TotalPaths returns the exact number of executions of the interleaved
-// flow: directed paths from an initial state to a stop state.
+// flow: directed paths from an initial state to a stop state. It is the
+// Counter over an empty observation: with nothing traced, every edge is
+// consistent.
 func (p *Product) TotalPaths() *big.Int {
-	total, err := p.Graph().TotalPaths(p.init, p.stop)
-	if err != nil {
-		// Products of DAGs are DAGs; a cycle here is a library bug.
-		panic("interleave: product of DAGs has a cycle: " + err.Error())
-	}
+	total := p.newCounter(nil, nil, Exact).Total()
 	if p.obs != nil {
 		p.obs.Counter("interleave.paths_counted").Inc()
 		// Saturate: the exact count can exceed int64 on big products.

@@ -302,11 +302,21 @@ func TestThreeWayProduct(t *testing.T) {
 	}
 }
 
+// The adjacency lists are the product's whole shape: they hold NumEdges
+// transitions, each landing on a state in range.
 func TestGraphShapeMatchesProduct(t *testing.T) {
 	p := twoInstances(t)
-	g := p.Graph()
-	if g.N() != p.NumStates() || g.M() != p.NumEdges() {
-		t.Errorf("graph %d/%d, product %d/%d", g.N(), g.M(), p.NumStates(), p.NumEdges())
+	edges := 0
+	for u := 0; u < p.NumStates(); u++ {
+		for _, e := range p.Out(u) {
+			if e.To < 0 || e.To >= p.NumStates() {
+				t.Fatalf("edge %d -> %d leaves the %d-state product", u, e.To, p.NumStates())
+			}
+			edges++
+		}
+	}
+	if edges != p.NumEdges() {
+		t.Errorf("adjacency holds %d edges, NumEdges = %d", edges, p.NumEdges())
 	}
 }
 

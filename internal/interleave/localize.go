@@ -74,51 +74,14 @@ func ProjectTrace(trace []flow.IndexedMsg, traced map[string]bool) []flow.Indexe
 // indexed instance of that message name, so localization is strictly
 // weaker than with tags; the difference measures what tagging buys.
 func (p *Product) ConsistentPathsUnindexed(traced map[string]bool, observed []string, mode MatchMode) (*big.Int, error) {
-	for _, name := range observed {
+	untagged := make([]flow.IndexedMsg, len(observed))
+	for i, name := range observed {
 		if !traced[name] {
 			return nil, fmt.Errorf("interleave: observed message %s is not in the traced set", name)
 		}
+		untagged[i] = flow.IndexedMsg{Name: name}
 	}
-	n := p.NumStates()
-	k := len(observed)
-	isStop := make([]bool, n)
-	for _, s := range p.stop {
-		isStop[s] = true
-	}
-	memo := make([][]*big.Int, n)
-	for i := range memo {
-		memo[i] = make([]*big.Int, k+1)
-	}
-	var count func(u, j int) *big.Int
-	count = func(u, j int) *big.Int {
-		if c := memo[u][j]; c != nil {
-			return c
-		}
-		c := new(big.Int)
-		memo[u][j] = c
-		if isStop[u] && j == k {
-			c.SetInt64(1)
-		}
-		for _, e := range p.out[u] {
-			name := p.Msg(e).Name
-			switch {
-			case !traced[name]:
-				c.Add(c, count(e.To, j))
-			case j < k && name == observed[j]:
-				c.Add(c, count(e.To, j+1))
-			case j == k && mode == Prefix:
-				c.Add(c, count(e.To, j))
-			}
-		}
-		return c
-	}
-	total := new(big.Int)
-	seen := make(map[int]bool, len(p.init))
-	for _, s := range p.init {
-		if !seen[s] {
-			seen[s] = true
-			total.Add(total, count(s, 0))
-		}
-	}
-	return total, nil
+	c := p.newCounter(traced, untagged, mode)
+	c.byName = true
+	return c.Total(), nil
 }

@@ -1,7 +1,6 @@
 package mine
 
 import (
-	"strings"
 	"testing"
 
 	"tracescale/internal/flow"
@@ -13,6 +12,13 @@ import (
 // captureAll records every message of a run at full width — a mining
 // trace.
 func captureAll(t *testing.T, f *flow.Flow, n int, seed int64) []tbuf.Entry {
+	t.Helper()
+	return captureDepth(t, f, n, seed, 4096)
+}
+
+// captureDepth is captureAll through a trace buffer depth entries deep; a
+// shallow buffer wraps and evicts the oldest entries.
+func captureDepth(t *testing.T, f *flow.Flow, n int, seed int64, depth int) []tbuf.Entry {
 	t.Helper()
 	var rules []tbuf.Rule
 	width := 0
@@ -32,97 +38,78 @@ func captureAll(t *testing.T, f *flow.Flow, n int, seed int64) []tbuf.Entry {
 	if !res.Passed() {
 		t.Fatalf("mining run failed: %v", res.Symptoms)
 	}
-	mon := soc.NewMonitor(plan, tbuf.New(width, 4096), nil)
+	mon := soc.NewMonitor(plan, tbuf.New(width, depth), nil)
 	if err := mon.Consume(res.Events); err != nil {
 		t.Fatal(err)
 	}
 	return mon.Buffer().Entries()
 }
 
+// chainOf returns the message names of f's single execution — the
+// ground-truth order a miner must recover from a linear flow.
+func chainOf(f *flow.Flow) []string {
+	var want []string
+	f.Executions(func(e flow.Execution) bool {
+		for _, msg := range e.Trace() {
+			want = append(want, msg.Name)
+		}
+		return false
+	})
+	return want
+}
+
 // Mining each T2 single-flow regression trace recovers that flow's exact
-// shape: message order, count, and widths.
+// shape: message order, count, and widths — from one trace file, and with
+// counts accumulating across a two-file corpus of the same protocol.
 func TestMineRecoversT2Flows(t *testing.T) {
 	for name, f := range opensparc.Flows() {
-		entries := captureAll(t, f, 12, 3)
-		m, err := Chain(entries)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Tags != 12 {
-			t.Errorf("%s: mined %d tags, want 12", name, m.Tags)
-		}
-		if len(m.Order) != f.NumMessages() {
-			t.Fatalf("%s: mined %d messages, want %d", name, len(m.Order), f.NumMessages())
-		}
-		// Order and widths match the ground-truth chain.
-		var wantOrder []string
-		f.Executions(func(e flow.Execution) bool {
-			for _, msg := range e.Trace() {
-				wantOrder = append(wantOrder, msg.Name)
+		want := chainOf(f)
+		first := captureAll(t, f, 12, 3)
+		for _, corpus := range [][][]tbuf.Entry{{first}, {first, captureAll(t, f, 7, 5)}} {
+			tags := 12
+			if len(corpus) == 2 {
+				tags = 19
 			}
-			return false
-		})
-		for i, o := range m.Order {
-			if o.Name != wantOrder[i] {
-				t.Errorf("%s: position %d mined %s, want %s", name, i, o.Name, wantOrder[i])
+			res, err := Corpus(corpus, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			gt, _ := f.MessageID(o.Name)
-			if o.Width != f.Message(gt).Width {
-				t.Errorf("%s: %s mined width %d, want %d", name, o.Name, o.Width, f.Message(gt).Width)
+			if len(res.Flows) != 1 || res.Truncated != 0 {
+				t.Fatalf("%s: mined %d flows (%d truncated slices), want 1 complete flow", name, len(res.Flows), res.Truncated)
 			}
-			if o.Count != 12 {
-				t.Errorf("%s: %s count %d, want 12", name, o.Name, o.Count)
+			m := res.Flows[0]
+			if m.Tags != tags || m.Skipped != 0 {
+				t.Errorf("%s: mined %d tags (%d skipped), want %d", name, m.Tags, m.Skipped, tags)
 			}
-		}
-		// The materialized flow has the right shape and interleaves.
-		mined, err := m.Flow("mined_" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mined.NumStates() != f.NumStates() || mined.NumMessages() != f.NumMessages() {
-			t.Errorf("%s: mined flow (%d, %d), want (%d, %d)", name,
-				mined.NumStates(), mined.NumMessages(), f.NumStates(), f.NumMessages())
+			if len(m.Order) != len(want) {
+				t.Fatalf("%s: mined %d messages, want %d", name, len(m.Order), len(want))
+			}
+			for i, o := range m.Order {
+				if o.Name != want[i] {
+					t.Errorf("%s: position %d mined %s, want %s", name, i, o.Name, want[i])
+				}
+				gt, _ := f.MessageID(o.Name)
+				if o.Width != f.Message(gt).Width {
+					t.Errorf("%s: %s mined width %d, want %d", name, o.Name, o.Width, f.Message(gt).Width)
+				}
+				if o.Count != tags {
+					t.Errorf("%s: %s count %d, want %d", name, o.Name, o.Count, tags)
+				}
+			}
+			// The materialized flow has the right shape.
+			mined, err := m.Flow("mined_" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mined.NumStates() != f.NumStates() || mined.NumMessages() != f.NumMessages() {
+				t.Errorf("%s: mined flow (%d, %d), want (%d, %d)", name,
+					mined.NumStates(), mined.NumMessages(), f.NumStates(), f.NumMessages())
+			}
 		}
 	}
 }
 
 func TestMineErrors(t *testing.T) {
-	if _, err := Chain(nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	mk := func(tag int, names ...string) []tbuf.Entry {
-		var out []tbuf.Entry
-		for _, n := range names {
-			out = append(out, tbuf.Entry{Msg: flow.IndexedMsg{Name: n, Index: tag}, Bits: 2})
-		}
-		return out
-	}
-	// A shorter tag that is not a contiguous fragment: [a, c] skips b.
-	if _, err := Chain(append(mk(1, "a", "b", "c"), mk(2, "a", "c")...)); err == nil {
-		t.Error("gapped subsequence accepted")
-	}
-	// A tag carrying a message the reference never saw.
-	if _, err := Chain(append(mk(1, "a", "b"), mk(2, "z")...)); err == nil {
-		t.Error("foreign message accepted")
-	}
-	// Order mismatch.
-	if _, err := Chain(append(mk(1, "a", "b"), mk(2, "b", "a")...)); err == nil {
-		t.Error("order mismatch accepted")
-	}
-	// Repeated message within a transaction.
-	if _, err := Chain(mk(1, "a", "a")); err == nil {
-		t.Error("repeating message accepted")
-	}
-	// A truncated fragment is NOT an error: [b] is a contiguous infix of
-	// [a, b, c] (wraparound ate a, capture stopped before c).
-	m2, err := Chain(append(mk(1, "a", "b", "c"), mk(2, "b")...))
-	if err != nil {
-		t.Fatalf("infix fragment rejected: %v", err)
-	}
-	if m2.Tags != 1 || m2.Skipped != 1 || len(m2.SkippedTags) != 1 || m2.SkippedTags[0] != 2 {
-		t.Errorf("fragment bookkeeping: tags %d skipped %d tags %v", m2.Tags, m2.Skipped, m2.SkippedTags)
-	}
-	// Flow from nothing.
 	m := &Mined{}
 	if _, err := m.Flow("x"); err == nil {
 		t.Error("empty mined flow accepted")
@@ -131,126 +118,52 @@ func TestMineErrors(t *testing.T) {
 
 // Recording through a trace buffer too shallow for the run wraps the
 // circular memory: the oldest entries — the leading transactions' early
-// messages — are evicted, leaving truncated fragments. Chain must mine the
-// surviving complete tags and report the fragments, not mis-error with
-// "not a single linear flow" (the pre-fix behavior, which took the first
-// tag — exactly the truncated one — as the reference).
+// messages — are evicted, leaving truncated fragments. The miner must
+// recover the ground-truth chain from the surviving complete tags and
+// count each fragment as skipped, not mis-split the flow. The depths are
+// deliberately not multiples of the 5-message transaction, so eviction
+// cuts a transaction mid-flight at every depth.
 func TestMineChainSkipsWrapTruncatedTags(t *testing.T) {
 	f := opensparc.PIOR()
-	var rules []tbuf.Rule
-	width := 0
-	for _, m := range f.Messages() {
-		rules = append(rules, tbuf.Rule{Message: m.Name, Width: m.Width, Bits: m.Width})
-		width += m.Width
-	}
-	plan, err := tbuf.NewCapturePlan(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := soc.Run(soc.Scenario{Name: f.Name(), Launches: soc.Repeat(f, 12, 1, 0, 8)},
-		soc.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 transactions x 5 messages = 60 entries through a 38-deep buffer:
-	// the depth is deliberately not a multiple of the transaction length,
-	// so eviction is guaranteed to cut one transaction mid-flight.
-	buf := tbuf.New(width, 38)
-	mon := soc.NewMonitor(plan, buf, nil)
-	if err := mon.Consume(res.Events); err != nil {
-		t.Fatal(err)
-	}
-	if !buf.Overflowed() {
-		t.Fatal("buffer did not wrap; deepen the workload")
-	}
-	m, err := Chain(buf.Entries())
-	if err != nil {
-		t.Fatalf("wrapped trace rejected: %v", err)
-	}
-	if m.Skipped == 0 {
-		t.Error("no truncated transactions reported despite wraparound")
-	}
-	if m.Tags == 0 {
-		t.Error("no complete transactions mined")
-	}
-	if m.Tags+m.Skipped > 12 {
-		t.Errorf("tags %d + skipped %d exceed the 12 launched", m.Tags, m.Skipped)
-	}
-	if len(m.SkippedTags) != m.Skipped {
-		t.Errorf("SkippedTags %v does not match Skipped %d", m.SkippedTags, m.Skipped)
-	}
-	// The mined order is still the ground-truth chain.
-	var want []string
-	f.Executions(func(e flow.Execution) bool {
-		for _, msg := range e.Trace() {
-			want = append(want, msg.Name)
+	want := chainOf(f)
+	for _, depth := range []int{17, 23, 38, 41} {
+		entries := captureDepth(t, f, 12, 3, depth)
+		if len(entries) != depth {
+			t.Fatalf("depth %d: buffer holds %d entries; it did not wrap", depth, len(entries))
 		}
-		return false
-	})
-	if len(m.Order) != len(want) {
-		t.Fatalf("mined %d messages, want %d", len(m.Order), len(want))
-	}
-	for i, o := range m.Order {
-		if o.Name != want[i] {
-			t.Errorf("position %d mined %s, want %s", i, o.Name, want[i])
+		// Ground truth from the buffer itself: a tag is complete when all
+		// of its messages survived eviction.
+		perTag := map[int]int{}
+		for _, e := range entries {
+			perTag[e.Msg.Index]++
 		}
-	}
-}
-
-// Merge combines per-file chains; disagreeing corpora are rejected.
-func TestMergeChains(t *testing.T) {
-	a := &Mined{Order: []Observation{{Name: "x", Width: 2, Count: 3}}, Tags: 3}
-	b := &Mined{Order: []Observation{{Name: "x", Width: 4, Count: 2}}, Tags: 2, Skipped: 1, SkippedTags: []int{7}}
-	m, err := Merge([]*Mined{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Order[0].Width != 4 || m.Order[0].Count != 5 || m.Tags != 5 || m.Skipped != 1 {
-		t.Errorf("merged = %+v", m)
-	}
-	if _, err := Merge(nil); err == nil {
-		t.Error("empty merge accepted")
-	}
-	c := &Mined{Order: []Observation{{Name: "y"}}}
-	if _, err := Merge([]*Mined{a, c}); err == nil {
-		t.Error("disagreeing corpus accepted")
-	}
-	d := &Mined{Order: []Observation{{Name: "x"}, {Name: "y"}}}
-	if _, err := Merge([]*Mined{a, d}); err == nil {
-		t.Error("length-mismatched corpus accepted")
-	}
-}
-
-// Mining an interleaved multi-flow trace must fail loudly rather than
-// produce a bogus chain.
-func TestMineRejectsInterleavedFlows(t *testing.T) {
-	s, err := opensparc.ScenarioByID(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rules []tbuf.Rule
-	width := 0
-	for _, m := range s.Universe() {
-		rules = append(rules, tbuf.Rule{Message: m.Name, Width: m.Width, Bits: m.Width})
-		width += m.Width
-	}
-	plan, err := tbuf.NewCapturePlan(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := soc.Run(soc.Scenario{Name: s.Name, Launches: s.Launches(6, 12)}, soc.Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := soc.NewMonitor(plan, tbuf.New(width, 4096), nil)
-	if err := mon.Consume(res.Events); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Chain(mon.Buffer().Entries())
-	if err == nil {
-		t.Fatal("interleaved trace mined as a chain")
-	}
-	if !strings.Contains(err.Error(), "mine:") {
-		t.Errorf("error = %v", err)
+		complete, partial := 0, 0
+		for _, n := range perTag {
+			if n == len(want) {
+				complete++
+			} else {
+				partial++
+			}
+		}
+		res, err := Corpus([][]tbuf.Entry{entries}, Options{})
+		if err != nil {
+			t.Fatalf("depth %d: wrapped trace rejected: %v", depth, err)
+		}
+		if len(res.Flows) != 1 || res.Splits != 0 {
+			t.Fatalf("depth %d: mined %d flows with %d splits, want the one chain", depth, len(res.Flows), res.Splits)
+		}
+		m := res.Flows[0]
+		if partial == 0 || m.Tags != complete || m.Skipped != partial || res.Truncated != partial {
+			t.Errorf("depth %d: mined %d complete, %d skipped (%d truncated slices); buffer holds %d complete, %d partial",
+				depth, m.Tags, m.Skipped, res.Truncated, complete, partial)
+		}
+		if len(m.Order) != len(want) {
+			t.Fatalf("depth %d: mined %d messages, want %d", depth, len(m.Order), len(want))
+		}
+		for i, o := range m.Order {
+			if o.Name != want[i] {
+				t.Errorf("depth %d: position %d mined %s, want %s", depth, i, o.Name, want[i])
+			}
+		}
 	}
 }

@@ -42,30 +42,12 @@ func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) 
 	if err := CheckAmbiguityStates(n); err != nil {
 		return nil, err
 	}
-	isStop := make([]bool, n)
-	for _, s := range p.Stop() {
-		isStop[s] = true
-	}
-
-	// stopTail[u]: completions from u whose projection is empty (untraced
-	// edges only, ending at a stop state).
-	stopTail := make([]*big.Int, n)
-	var tail func(u int) *big.Int
-	tail = func(u int) *big.Int {
-		if c := stopTail[u]; c != nil {
-			return c
-		}
-		c := new(big.Int)
-		stopTail[u] = c // DAG: no re-entrancy
-		if isStop[u] {
-			c.SetInt64(1)
-		}
-		for _, e := range p.Out(u) {
-			if !traced[p.Msg(e).Name] {
-				c.Add(c, tail(e.To))
-			}
-		}
-		return c
+	// stopTail.From(u, 0): completions from u whose projection is empty
+	// (untraced edges only, ending at a stop state) — the Counter over an
+	// empty exact observation.
+	stopTail, err := p.NewCounter(traced, nil, interleave.Exact)
+	if err != nil {
+		return nil, err
 	}
 
 	// closure[u]: for each (first traced message m, landing state w), the
@@ -130,7 +112,7 @@ func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) 
 		if c := pair[key]; c != nil {
 			return c
 		}
-		c := new(big.Int).Mul(tail(u), tail(v))
+		c := new(big.Int).Mul(stopTail.From(u, 0), stopTail.From(v, 0))
 		pair[key] = c // every recursive step crosses a traced edge on both sides: no re-entrancy
 		term := new(big.Int)
 		for m, lu := range closureOf(u) {

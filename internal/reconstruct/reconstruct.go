@@ -334,19 +334,11 @@ type beamCell struct {
 // most completion freedom ahead of them). The resulting count is a lower
 // bound — pruning a cell only ever discards consistent prefixes.
 func beamReconstruct(p *interleave.Product, traced map[string]bool, observed []flow.IndexedMsg, opt Options) (*Result, error) {
-	k := len(observed)
-	step := func(m flow.IndexedMsg, j int) (int, bool) {
-		switch {
-		case !traced[m.Name]:
-			return j, true
-		case j < k && m == observed[j]:
-			return j + 1, true
-		case j == k && opt.Match == interleave.Prefix:
-			return j, true
-		}
-		return j, false
+	ctr, err := p.NewCounter(traced, observed, opt.Match)
+	if err != nil {
+		return nil, err
 	}
-
+	k := len(observed)
 	order, err := topoOrder(p)
 	if err != nil {
 		return nil, err
@@ -400,7 +392,7 @@ func beamReconstruct(p *interleave.Product, traced map[string]bool, observed []f
 				res.Ambiguity.Add(res.Ambiguity, cell.c)
 			}
 			for _, e := range p.Out(u) {
-				if nj, ok := step(p.Msg(e), cell.j); ok {
+				if nj, ok := ctr.Step(p.Msg(e), cell.j); ok {
 					res.Nodes++
 					add(e.To, nj, cell.c)
 				}

@@ -69,10 +69,11 @@ type Options struct {
 	NoPack bool `json:"noPack,omitempty"`
 	// MaxCandidates bounds exhaustive enumeration (0 = default).
 	MaxCandidates int `json:"maxCandidates,omitempty"`
-	// Workers is an upper bound on the shard pool of a sharding method
-	// (0 = GOMAXPROCS); counts above GOMAXPROCS are clamped to it. The
-	// Result is byte-identical at every worker count; methods that cannot
-	// shard reject workers > 1 with a 422.
+	// Workers is an upper bound on the shard pool of the exhaustive scan,
+	// the one sharding method (0 = GOMAXPROCS); counts above GOMAXPROCS
+	// are clamped to it. The Result is byte-identical at every worker
+	// count; every other method, branch-bound included, rejects
+	// workers > 1 with a 422.
 	Workers int `json:"workers,omitempty"`
 	// KeepCandidates returns every feasible candidate in the response.
 	// Only the exhaustive method supports it; any other method rejects the

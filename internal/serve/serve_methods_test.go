@@ -47,6 +47,7 @@ func TestUnsupportedOptionsReturn422(t *testing.T) {
 	}{
 		{"keepCandidates+knapsack", map[string]any{"method": "knapsack", "keepCandidates": true}, "does not support KeepCandidates"},
 		{"workers+greedy", map[string]any{"method": "greedy", "workers": 2}, "does not support Workers"},
+		{"workers+branch-bound", map[string]any{"method": "branch-bound", "workers": 2}, "does not support Workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
