@@ -217,7 +217,8 @@ func BenchmarkLocalization(b *testing.B) {
 }
 
 // Exact execution count of a built product: the Counter over an empty
-// observation, which every POST /reconstruct pays for its total. The
+// observation, which Product.TotalPaths runs once per product. The
+// benchmark runs the Counter itself, not the memoized TotalPaths. The
 // products are built before the timer starts.
 func BenchmarkTotalPaths(b *testing.B) {
 	s, err := opensparc.ScenarioByID(3)
@@ -243,7 +244,11 @@ func BenchmarkTotalPaths(b *testing.B) {
 	}{{"t2-scenario3", t2}, {"cc-x6", ccx6}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.p.TotalPaths()
+				cnt, err := c.p.NewCounter(nil, nil, interleave.Exact)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cnt.Total()
 			}
 		})
 	}
@@ -578,7 +583,7 @@ func BenchmarkRestoreScaling(b *testing.B) {
 	}
 }
 
-// ---- Session layer and parallel enumeration ---------------------------
+// ---- Session layer -----------------------------------------------------
 
 // Session reuse across a buffer-width sweep: "uncached" rebuilds the
 // interleaving and evaluator for every width (the pre-Session pipeline);
@@ -664,36 +669,5 @@ func BenchmarkSessionUniverse120(b *testing.B) {
 		if _, err := ses.Select(core.Config{BufferWidth: 32, Method: core.BranchBound}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Exhaustive enumeration over a ~2^20-mask synthetic workload, serial vs
-// sharded across GOMAXPROCS workers. The two paths produce byte-identical
-// Results (see internal/core's property tests); this measures the
-// wall-clock difference only.
-func BenchmarkSelectExhaustiveParallel(b *testing.B) {
-	insts, err := synth.Scenario(1, synth.Params{States: 21, MaxWidth: 6}, rand.New(rand.NewSource(benchSeed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := interleave.New(insts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := core.NewEvaluator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Select(e, core.Config{BufferWidth: 40, Workers: v.workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

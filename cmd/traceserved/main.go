@@ -10,12 +10,13 @@
 // the selection as JSON; "method" accepts every registered strategy name
 // (exhaustive, knapsack, greedy, max-coverage, branch-bound, reconstruct),
 // and an option the method cannot honor is a 422, not silently ignored.
-// "workers" is an upper bound, clamped to GOMAXPROCS. GET /healthz answers ok; GET /metrics snapshots the
-// service's observability registry.
+// Selection is serial, so "workers" accepts only 0 and 1, and a "width"
+// above 65536 bits is a 422. GET /healthz answers ok; GET /metrics
+// snapshots the service's observability registry.
 //
 // POST /select/batch runs many option sets against one scenario in a
-// single request (capped by -max-batch); duplicate option sets cost one
-// scan. Selections are answered from a content-addressed result store
+// single request (capped by -max-batch), one after another; duplicate
+// option sets cost one scan. Selections are answered from a content-addressed result store
 // first — give it -store-dir to persist results across restarts.
 //
 // POST /reconstruct answers the debug-side question: given the scenario,

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -23,38 +25,69 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if err == errUsage {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "tracetool:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage signals a bad invocation: usage was already printed, exit 2.
+var errUsage = errors.New("usage")
+
+// run executes one tracetool invocation against the given argument list,
+// writing all output to w. main is a thin exit-code shim around it, so
+// tests drive the full CLI in-process with a bytes.Buffer.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("tracetool", flag.ContinueOnError)
 	var (
-		stats   = flag.Bool("stats", false, "print trace statistics")
-		project = flag.Int("project", -1, "print the message sequence of this tag")
-		diff    = flag.Bool("diff", false, "classify <golden> vs <buggy>")
-		focus   = flag.Int("focus", -1, "tag to focus the diff on (-1 = first divergence)")
+		stats   = fs.Bool("stats", false, "print trace statistics")
+		project = fs.Int("project", -1, "print the message sequence of this tag")
+		diff    = fs.Bool("diff", false, "classify <golden> vs <buggy>")
+		focus   = fs.Int("focus", -1, "tag to focus the diff on (-1 = first divergence)")
 	)
-	flag.Parse()
-	args := flag.Args()
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	args = fs.Args()
 
 	switch {
 	case *stats && len(args) == 1:
-		entries := parse(args[0])
+		entries, err := parse(args[0])
+		if err != nil {
+			return err
+		}
 		s := trace.Summarize(entries)
-		fmt.Printf("%s: %d entries over cycles [%d, %d] (span %d)\n",
+		fmt.Fprintf(w, "%s: %d entries over cycles [%d, %d] (span %d)\n",
 			args[0], s.Entries, s.FirstCycle, s.LastCycle, s.Span())
 		for _, name := range s.Names() {
-			fmt.Printf("  %-16s %d\n", name, s.PerMessage[name])
+			fmt.Fprintf(w, "  %-16s %d\n", name, s.PerMessage[name])
 		}
 	case *project >= 0 && len(args) == 1:
-		entries := parse(args[0])
+		entries, err := parse(args[0])
+		if err != nil {
+			return err
+		}
 		msgs := trace.Project(entries, *project)
 		if len(msgs) == 0 {
-			fmt.Printf("tag %d: no entries\n", *project)
-			return
+			fmt.Fprintf(w, "tag %d: no entries\n", *project)
+			return nil
 		}
-		fmt.Printf("tag %d (%d entries):\n", *project, len(msgs))
+		fmt.Fprintf(w, "tag %d (%d entries):\n", *project, len(msgs))
 		for _, m := range msgs {
-			fmt.Printf("  %s\n", m)
+			fmt.Fprintf(w, "  %s\n", m)
 		}
 	case *diff && len(args) == 2:
-		golden := parse(args[0])
-		buggy := parse(args[1])
+		golden, err := parse(args[0])
+		if err != nil {
+			return err
+		}
+		buggy, err := parse(args[1])
+		if err != nil {
+			return err
+		}
 		traced := map[string]bool{}
 		for _, e := range golden {
 			traced[e.Msg.Name] = true
@@ -72,7 +105,7 @@ func main() {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Printf("focused on tag %d (message: whole run / focused tag)\n", f)
+		fmt.Fprintf(w, "focused on tag %d (message: whole run / focused tag)\n", f)
 		affected := 0
 		for _, n := range names {
 			marker := " "
@@ -80,14 +113,15 @@ func main() {
 				marker = "!"
 				affected++
 			}
-			fmt.Printf("%s %-16s %-8s / %-8s (%d entries)\n",
+			fmt.Fprintf(w, "%s %-16s %-8s / %-8s (%d entries)\n",
 				marker, n, obs.Global[n], obs.Focused[n], obs.Entries[n])
 		}
-		fmt.Printf("%d of %d messages affected\n", affected, len(names))
+		fmt.Fprintf(w, "%d of %d messages affected\n", affected, len(names))
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
+	return nil
 }
 
 // firstDivergentTag finds the lowest tag whose entry count differs between
@@ -124,20 +158,16 @@ func firstDivergentTag(golden, buggy []tbuf.Entry) int {
 	return -1
 }
 
-func parse(path string) []tbuf.Entry {
+// parse reads one trace file, naming the file in a parse error.
+func parse(path string) ([]tbuf.Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	defer f.Close()
 	entries, err := trace.Parse(f)
 	if err != nil {
-		fail(err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return entries
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tracetool:", err)
-	os.Exit(1)
+	return entries, nil
 }

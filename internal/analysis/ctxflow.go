@@ -7,15 +7,14 @@ package analysis
 //   - a literal context.Background() or context.TODO() handed to a callee's
 //     ctx parameter while the function's own context is in scope — the
 //     callee silently detaches from the caller's deadline and cancellation,
-//     which is how a cancelled selection keeps a shard pool burning;
+//     which is how a cancelled selection keeps its scan burning;
 //   - a for/range loop whose body exceeds ctxLoopNodeThreshold AST nodes
 //     without mentioning the context at all — a scan loop that can neither
 //     be cancelled nor time out. Small bookkeeping loops stay exempt.
 //
-// Deliberate detachment (a singleflight computation that must outlive any
-// one waiter, a drain that must outlive the cancelled serve context) is
-// annotated //lint:ignore ctxflow <reason> — the reason is the review
-// record that the detachment is on purpose.
+// Deliberate detachment (a drain that must outlive the cancelled serve
+// context) is annotated //lint:ignore ctxflow <reason> — the reason is the
+// review record that the detachment is on purpose.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
 	Doc:       "context-taking functions must thread ctx to ctx-accepting callees and poll it in long loops",

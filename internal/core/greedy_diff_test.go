@@ -124,8 +124,8 @@ func degenerateChainEvaluator(t *testing.T, seed int64, gain float64) *Evaluator
 // the degenerate universes where the old DP silently diverged: with every
 // gain zero, strict-improvement DP never took an item and returned an
 // empty Candidate with no error; with gains uniformly tied, it ignored the
-// coverage tie-break that better() gives the exhaustive reference. On the
-// single-execution chain family (disjoint visible sets, so the coverage
+// coverage tie-break that betterScored gives the exhaustive reference. On
+// the single-execution chain family (disjoint visible sets, so the coverage
 // tie-break has optimal substructure) the fixed DP must reproduce the
 // exhaustive Candidate exactly — same messages, width, gain, and coverage
 // — for both the zero-gain and tied-gain cases across budgets.

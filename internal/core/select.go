@@ -24,13 +24,9 @@ type Config struct {
 	// study). Only the Exhaustive method supports it (see Capabilities);
 	// Select rejects the combination for every other method.
 	KeepCandidates bool
-	// Workers bounds the goroutines the exhaustive scan (the one sharding
-	// strategy — see Capabilities) spreads its mask space across. Zero
-	// means GOMAXPROCS; one forces the serial scan. Every worker count
-	// selects a byte-identical Result: shards are merged in ascending order
-	// with the same tie-breaks the serial scan applies, so parallelism
-	// never changes which candidate wins. Every other strategy, branch-bound
-	// included, searches serially and rejects Workers > 1.
+	// Workers must be 0 or 1: every strategy searches serially on the
+	// caller's goroutine, and Select rejects Workers > 1. Both values
+	// select the same Result and share one memo slot.
 	Workers int
 }
 
@@ -98,6 +94,13 @@ func (r *Result) TracedNames() []string {
 
 const defaultMaxCandidates = 1 << 22
 
+// MaxBufferWidth is the widest trace buffer, in bits, that Select accepts.
+// Message widths are caller input too, so clamping the Step-2 search to
+// the universe's total trace width (stepWidth) alone would not bound the
+// width-indexed tables; this limit does. The paper's buffers are 32 bits
+// wide.
+const MaxBufferWidth = 1 << 16
+
 // scoreEps is the tolerance of every score comparison: gains (and
 // coverages) closer than this are ties, broken by the secondary objective
 // and then by enumeration order.
@@ -113,21 +116,25 @@ func Select(e *Evaluator, cfg Config) (*Result, error) {
 	return SelectContext(context.Background(), e, cfg)
 }
 
-// SelectContext is Select with cooperative cancellation: when ctx is
-// cancelled, the sharded strategies abort their scans at the next poll
-// boundary (every cancelCheckMasks masks or search nodes) and SelectContext
-// returns ctx's error. With an uncancelled context the result is
-// byte-identical to Select — cancellation polling never touches the
-// incumbent-best state, so it cannot perturb tie-breaks. Cancelled runs
-// increment core.select.cancelled on observed evaluators.
+// SelectContext is Select with cooperative cancellation. Selection runs
+// on the caller's goroutine; when ctx is cancelled, the exhaustive and
+// branch-and-bound searches abort at the next poll boundary (every
+// cancelCheckMasks masks or search nodes) and SelectContext returns ctx's
+// error. With an uncancelled context the result is byte-identical to
+// Select — cancellation polling never touches the incumbent-best state,
+// so it cannot perturb tie-breaks. Cancelled runs increment
+// core.select.cancelled on observed evaluators.
 //
 // The Step-2 strategy is resolved from the Method registry; the Config is
 // validated against the strategy's Capabilities first, so an option the
 // strategy cannot honor (KeepCandidates, Workers > 1) is an error rather
-// than silently ignored.
+// than silently ignored. A BufferWidth above MaxBufferWidth is refused.
 func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, error) {
 	if cfg.BufferWidth < 1 {
 		return nil, fmt.Errorf("core: non-positive trace buffer width %d", cfg.BufferWidth)
+	}
+	if cfg.BufferWidth > MaxBufferWidth {
+		return nil, fmt.Errorf("core: trace buffer width %d exceeds the %d-bit limit", cfg.BufferWidth, MaxBufferWidth)
 	}
 	if cfg.MaxCandidates < 0 {
 		// A negative bound would wrap to ~2^64 at the uint64 enumeration
@@ -147,7 +154,9 @@ func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, erro
 		start = time.Now()
 	}
 
-	best, all, err := cfg.Method.strategy().Select(ctx, e, cfg)
+	step := cfg
+	step.BufferWidth = e.stepWidth(cfg.BufferWidth)
+	best, all, err := cfg.Method.strategy().Select(ctx, e, step)
 	if err != nil {
 		if reg != nil && ctx.Err() != nil {
 			reg.Counter("core.select.cancelled").Inc()
@@ -196,28 +205,29 @@ func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, erro
 	return res, nil
 }
 
+// stepWidth is the budget the Step-2 strategy searches under: the
+// requested width, clamped to the universe's total trace width. Every
+// message fits at that sum, so every strategy selects the same set at any
+// wider budget, while the width-indexed tables (knapsack's DP, the
+// feasible-mask count) stay sized by the scenario rather than by the
+// request. Step 3 and Utilization keep the requested width.
+func (e *Evaluator) stepWidth(budget int) int {
+	sum := 0
+	for _, w := range e.widthOf {
+		if w >= budget-sum { // overflow-safe sum+w >= budget
+			return budget
+		}
+		sum += w
+	}
+	return sum
+}
+
 // selectWallBounds buckets core.select.wall_us: selection runs span ~µs
 // (memoized toy scenarios) to ~seconds (wide synthetic mask spaces).
 var selectWallBounds = []int64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
-// better reports whether candidate a should replace b: strictly higher
-// gain, or equal gain with strictly higher coverage. Equal-score
-// candidates keep the incumbent, so enumeration order (message declaration
-// order) breaks ties deterministically — this reproduces the paper's
-// choice of {ReqE, GntE} among the three gain-tied pairs of the toy
-// example.
-func better(a, b Candidate) bool {
-	if a.Gain > b.Gain+scoreEps {
-		return true
-	}
-	if a.Gain < b.Gain-scoreEps {
-		return false
-	}
-	return a.Coverage > b.Coverage+scoreEps
-}
-
 // scored is a candidate combination identified by its enumeration mask,
-// carrying only the fields the better/tie-break predicates need. The full
+// carrying only the fields the betterScored tie-break needs. The full
 // Candidate (message names) is materialized once, for the winner, or for
 // every feasible mask when KeepCandidates asks for them.
 type scored struct {
@@ -227,7 +237,12 @@ type scored struct {
 	coverage float64
 }
 
-// betterScored is the better predicate on mask-identified candidates.
+// betterScored reports whether candidate a should replace b: strictly
+// higher gain, or equal gain with strictly higher coverage. Equal-score
+// candidates keep the incumbent, so enumeration order (message declaration
+// order) breaks ties deterministically — this reproduces the paper's
+// choice of {ReqE, GntE} among the three gain-tied pairs of the toy
+// example.
 func betterScored(a, b scored) bool {
 	if a.gain > b.gain+scoreEps {
 		return true
@@ -238,15 +253,9 @@ func betterScored(a, b scored) bool {
 	return a.coverage > b.coverage+scoreEps
 }
 
-// tieScored reports whether a and b are gain- and coverage-tied within the
-// predicate's tolerance (neither is better than the other).
-func tieScored(a, b scored) bool {
-	return !betterScored(a, b) && !betterScored(b, a)
-}
-
 // cancelCheckMasks is how many masks (or search nodes) a scan processes
 // between context polls: coarse enough that the poll never shows up in
-// profiles, fine enough that a cancelled shard aborts within a fraction of
+// profiles, fine enough that a cancelled scan aborts within a fraction of
 // a millisecond.
 const cancelCheckMasks = 1 << 13
 

@@ -36,8 +36,7 @@ func observedChainEvaluator(t testing.TB, messages int, reg *obs.Registry) *Eval
 }
 
 // SelectContext with a background context must be byte-identical to Select
-// — on the paper's worked example and on random synth families, serial and
-// sharded.
+// — on the paper's worked example and on random synth families.
 func TestSelectContextBackgroundIdentical(t *testing.T) {
 	f := flow.CacheCoherence()
 	p, err := interleave.New([]flow.Instance{{Flow: f, Index: 1}, {Flow: f, Index: 2}})
@@ -65,47 +64,41 @@ func TestSelectContextBackgroundIdentical(t *testing.T) {
 
 	for seed := int64(0); seed < 10; seed++ {
 		e := synthEvaluator(t, 2, 4, 0.4, 0.3, seed)
-		for _, workers := range []int{1, 3} {
-			cfg := Config{BufferWidth: 8, KeepCandidates: true, Workers: workers}
-			plain, perr := Select(e, cfg)
-			ctxed, cerr := SelectContext(context.Background(), e, cfg)
-			if (perr == nil) != (cerr == nil) {
-				t.Fatalf("seed %d workers %d: Select err %v vs SelectContext err %v", seed, workers, perr, cerr)
-			}
-			if perr == nil && !reflect.DeepEqual(plain, ctxed) {
-				t.Errorf("seed %d workers %d: results diverge", seed, workers)
-			}
+		cfg := Config{BufferWidth: 8, KeepCandidates: true}
+		plain, perr := Select(e, cfg)
+		ctxed, cerr := SelectContext(context.Background(), e, cfg)
+		if (perr == nil) != (cerr == nil) {
+			t.Fatalf("seed %d: Select err %v vs SelectContext err %v", seed, perr, cerr)
+		}
+		if perr == nil && !reflect.DeepEqual(plain, ctxed) {
+			t.Errorf("seed %d: results diverge", seed)
 		}
 	}
 }
 
-// A context cancelled before the scan starts must abort every shard at its
-// first poll boundary: SelectContext returns the context's error, no
-// partial result, and the shard aborts are visible in the obs counters.
+// A context cancelled before the scan starts must abort it at its first
+// poll boundary: SelectContext returns the context's error, no partial
+// result, and the abort is visible in the obs counters.
 func TestSelectContextPreCancelled(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := observedChainEvaluator(t, 18, reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SelectContext(ctx, e, Config{BufferWidth: 16, Workers: 4})
+	res, err := SelectContext(ctx, e, Config{BufferWidth: 16})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
 		t.Errorf("cancelled SelectContext leaked a result: %+v", res)
 	}
-	snap := reg.Snapshot()
-	if got := snap["core.select.shards_cancelled"]; got != 4 {
-		t.Errorf("core.select.shards_cancelled = %d, want 4 (every shard aborts at its first poll)", got)
-	}
-	if got := snap["core.select.cancelled"]; got != 1 {
+	if got := reg.Snapshot()["core.select.cancelled"]; got != 1 {
 		t.Errorf("core.select.cancelled = %d, want 1", got)
 	}
 }
 
 // Cancelling mid-scan must make SelectContext return promptly with the
-// context's error and release every shard worker (the scan aborts instead
-// of finishing the 2^22-mask space).
+// context's error (the scan aborts instead of finishing the 2^22-mask
+// space).
 func TestSelectContextCancelMidScan(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := observedChainEvaluator(t, 22, reg)
@@ -116,7 +109,7 @@ func TestSelectContextCancelMidScan(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := SelectContext(ctx, e, Config{BufferWidth: 24, Workers: 4})
+	_, err := SelectContext(ctx, e, Config{BufferWidth: 24})
 	elapsed := time.Since(start)
 	if err == nil {
 		// The full 2^22-mask scan outran the 2ms cancel — only plausible on
@@ -127,18 +120,14 @@ func TestSelectContextCancelMidScan(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
-		t.Errorf("cancelled select took %v — shards are not polling the context", elapsed)
+		t.Errorf("cancelled select took %v — the scan is not polling the context", elapsed)
 	}
-	snap := reg.Snapshot()
-	if got := snap["core.select.shards_cancelled"]; got < 1 {
-		t.Errorf("core.select.shards_cancelled = %d, want >= 1", got)
-	}
-	if got := snap["core.select.cancelled"]; got != 1 {
+	if got := reg.Snapshot()["core.select.cancelled"]; got != 1 {
 		t.Errorf("core.select.cancelled = %d, want 1", got)
 	}
 }
 
-// The serial (Workers=1) path polls the same way.
+// An unobserved evaluator with an explicit Workers 1 aborts the same way.
 func TestSelectContextPreCancelledSerial(t *testing.T) {
 	e := synthEvaluator(t, 1, 4, 0, 0, 3)
 	ctx, cancel := context.WithCancel(context.Background())

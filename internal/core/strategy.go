@@ -39,7 +39,7 @@ const (
 	// subtrees below the incumbent. Exact like Exhaustive — byte-identical
 	// wherever Exhaustive is feasible — but it never materializes the 2^n
 	// mask space, so it keeps selecting past Exhaustive's MaxCandidates
-	// guard (MaxCandidates instead caps explored search nodes per worker).
+	// guard (MaxCandidates instead caps explored search nodes).
 	BranchBound
 	// Reconstruct greedily minimizes expected reconstruction ambiguity
 	// (reconstruct.PairCount / TotalPaths): each round adds the fitting
@@ -59,17 +59,15 @@ type Capabilities struct {
 	// KeepCandidates: the strategy can retain every feasible candidate in
 	// Result.Candidates.
 	KeepCandidates bool
-	// Workers: the strategy shards its search across Config.Workers
-	// goroutines (byte-identical results at every worker count).
-	Workers bool
 }
 
 // Strategy is one Step-2 search algorithm. Implementations are stateless;
 // all instance data lives in the Evaluator, all knobs in the Config (which
 // SelectContext has already validated against the strategy's Capabilities
-// and defaulted — BufferWidth ≥ 1, MaxCandidates > 0). Select returns the
-// winning Candidate and, when the strategy supports KeepCandidates and the
-// Config asks for it, every feasible candidate.
+// and defaulted — BufferWidth ≥ 1, clamped to the universe's total trace
+// width, MaxCandidates > 0). Select runs on the caller's goroutine and
+// returns the winning Candidate and, when the strategy supports
+// KeepCandidates and the Config asks for it, every feasible candidate.
 type Strategy interface {
 	Name() string
 	Capabilities() Capabilities
@@ -152,11 +150,11 @@ func MethodNames() []string {
 }
 
 // ValidateConfig rejects Config combinations no selection run could honor:
-// an unregistered Method, or KeepCandidates/Workers > 1 against a strategy
-// whose Capabilities do not include them. SelectContext validates every
-// Config; the pipeline session layer validates before its memo lookup so an
-// invalid combination can never be answered from cache (the memo key
-// normalizes Workers away).
+// an unregistered Method, KeepCandidates against a strategy whose
+// Capabilities do not include it, or Workers > 1, since every strategy
+// searches serially. SelectContext validates every Config; the pipeline
+// session layer validates before its memo lookup so an invalid combination
+// can never be answered from cache (the memo key normalizes Workers away).
 func ValidateConfig(cfg Config) error {
 	s := cfg.Method.strategy()
 	if s == nil {
@@ -167,9 +165,8 @@ func ValidateConfig(cfg Config) error {
 		return fmt.Errorf("core: method %s does not support KeepCandidates (supported by: %s)",
 			s.Name(), strings.Join(methodNamesWhere(func(c Capabilities) bool { return c.KeepCandidates }), ", "))
 	}
-	if cfg.Workers > 1 && !caps.Workers {
-		return fmt.Errorf("core: method %s does not support Workers > 1 (supported by: %s)",
-			s.Name(), strings.Join(methodNamesWhere(func(c Capabilities) bool { return c.Workers }), ", "))
+	if cfg.Workers > 1 {
+		return fmt.Errorf("core: method %s does not support Workers > 1: selection is serial", s.Name())
 	}
 	return nil
 }

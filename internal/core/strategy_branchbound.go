@@ -7,9 +7,8 @@ import (
 	"sort"
 )
 
-// branchBoundStrategy is the exact lattice search. It runs serially and
-// never materializes the candidate set, so Workers > 1 and KeepCandidates
-// are rejected.
+// branchBoundStrategy is the exact lattice search. It never materializes
+// the candidate set, so KeepCandidates is rejected.
 type branchBoundStrategy struct{}
 
 func (branchBoundStrategy) Name() string { return "branch-bound" }
@@ -42,7 +41,8 @@ func wideBetter(a, b wideScored) bool {
 	return a.coverage > b.coverage+scoreEps
 }
 
-// wideTie is tieScored on multi-word-mask candidates.
+// wideTie reports whether a and b are gain- and coverage-tied within the
+// comparison tolerance (neither is wideBetter than the other).
 func wideTie(a, b wideScored) bool {
 	return !wideBetter(a, b) && !wideBetter(b, a)
 }

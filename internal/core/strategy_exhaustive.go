@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"sync"
 )
 
 // exhaustiveStrategy is the paper's reference search: enumerate every
@@ -18,7 +14,7 @@ type exhaustiveStrategy struct{}
 func (exhaustiveStrategy) Name() string { return "exhaustive" }
 
 func (exhaustiveStrategy) Capabilities() Capabilities {
-	return Capabilities{KeepCandidates: true, Workers: true}
+	return Capabilities{KeepCandidates: true}
 }
 
 func (exhaustiveStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
@@ -26,8 +22,8 @@ func (exhaustiveStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) 
 }
 
 // scanMasks enumerates masks in [lo, hi), keeping the incumbent-best under
-// the better predicate (ascending scan, so the lowest tied mask wins) and,
-// when keep is set, every feasible candidate in mask order. better reads
+// betterScored (ascending scan, so the lowest tied mask wins) and, when
+// keep is set, every feasible candidate in mask order. betterScored reads
 // coverage only when the gains tie within scoreEps, so coverage is scored
 // only for contenders — masks whose gain reaches the incumbent's band —
 // and for every mask when keep asks for all candidates. The scratch cover
@@ -133,50 +129,16 @@ func errTooManyMasks(n, maxCandidates int) error {
 	return fmt.Errorf("core: 2^%d combinations exceed MaxCandidates=%d; use Knapsack or BranchBound", n, maxCandidates)
 }
 
-// exhaustiveShard is one mask range's scan outcome: the range's incumbent,
-// when KeepCandidates asks for them its feasible candidates in mask order,
-// and the context error that aborted the scan, if any.
-type exhaustiveShard struct {
-	best  scored
-	found bool
-	all   []Candidate
-	err   error
-}
-
-// mergeExhaustiveShards folds shard outcomes in ascending range order under
-// the serial incumbent rule: strictly better wins, full ties keep the
-// lowest mask. Candidates concatenate in the same order, which is the
-// serial scan's mask order.
-func mergeExhaustiveShards(shards []exhaustiveShard) (best scored, found bool, all []Candidate) {
-	for _, s := range shards {
-		if !s.found {
-			continue
-		}
-		if !found || betterScored(s.best, best) || (tieScored(s.best, best) && s.best.mask < best.mask) {
-			best = s.best
-			found = true
-		}
-		all = append(all, s.all...)
-	}
-	return best, found, all
-}
-
 // selectExhaustive is Steps 1-2 as written in the paper: enumerate every
 // message combination with total width within the buffer, score each, keep
-// the best. The mask space [1, 2^n) is split into contiguous ascending
-// ranges, one per worker, each scanned by scanMasks on its own goroutine;
-// per-range incumbents are merged in range order with the serial scan's
-// exact tie-breaks (equal-score candidates keep the lowest mask), so any
-// worker count selects a byte-identical result. The lowest-mask tie-break
-// is what reproduces the paper's choice of {ReqE, GntE} among the toy
-// example's three gain-tied pairs. pprof labels attribute each shard's
-// CPU samples to its range.
+// the best. One ascending scan on the caller's goroutine covers the mask
+// space [1, 2^n), so equal-score candidates keep the lowest mask — the
+// tie-break that reproduces the paper's choice of {ReqE, GntE} among the
+// toy example's three gain-tied pairs.
 //
-// Cancelling ctx makes every range scan abort at its next poll boundary;
-// the join then discards the partial incumbents and returns ctx's error,
-// so a cancelled selection never leaks a half-scanned result. Aborted
-// shards are tallied in core.select.shards_cancelled on observed
-// evaluators.
+// Cancelling ctx aborts the scan at its next poll boundary, and
+// SelectContext returns ctx's error: a cancelled selection never leaks a
+// half-scanned result.
 func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	n := len(e.universe)
 	if n >= 63 {
@@ -185,72 +147,20 @@ func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate,
 		// MaxCandidates admits a 63-message enumeration either.
 		return Candidate{}, nil, errTooManyMasks(n, cfg.MaxCandidates)
 	}
-	if total := uint64(1) << n; total > uint64(cfg.MaxCandidates) {
+	end := uint64(1) << n
+	if end > uint64(cfg.MaxCandidates) {
 		return Candidate{}, nil, errTooManyMasks(n, cfg.MaxCandidates)
 	}
-	end := uint64(1) << n
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Below ~2^16 masks the scan is microseconds; goroutine fan-out
-		// would cost more than it saves. An explicit Workers count is
-		// honored regardless (tests force the parallel path this way).
-		const minParallelMasks = 1 << 16
-		if end-1 < minParallelMasks {
-			workers = 1
-		}
+	best, found, all, err := e.scanMasks(ctx, 1, end, cfg.BufferWidth, cfg.KeepCandidates)
+	if err != nil {
+		return Candidate{}, nil, err
 	}
-	if uint64(workers) > end-1 {
-		workers = int(end - 1)
-	}
-
-	shards := make([]exhaustiveShard, workers)
-	span := (end - 1) / uint64(workers)
-	scan := func(ctx context.Context, w int) {
-		lo := 1 + uint64(w)*span
-		hi := lo + span
-		if w == workers-1 {
-			hi = end
-		}
-		s := &shards[w]
-		s.best, s.found, s.all, s.err = e.scanMasks(ctx, lo, hi, cfg.BufferWidth, cfg.KeepCandidates)
-	}
-	if workers == 1 {
-		scan(ctx, 0)
-	} else {
-		var wg sync.WaitGroup
-		for w := range shards {
-			wg.Add(1)
-			go pprof.Do(ctx,
-				pprof.Labels("tracescale.pool", "select-exhaustive", "tracescale.shard", strconv.Itoa(w)),
-				func(ctx context.Context) {
-					defer wg.Done()
-					scan(ctx, w)
-				})
-		}
-		wg.Wait()
-	}
-	var aborted int64
-	for _, s := range shards {
-		if s.err != nil {
-			aborted++
-		}
-	}
-	if aborted > 0 {
-		// scanMasks fails only on ctx, so ctx.Err() is that error.
-		if reg := e.obs; reg != nil {
-			reg.Add("core.select.shards_cancelled", aborted)
-		}
-		return Candidate{}, nil, ctx.Err()
-	}
-	best, found, all := mergeExhaustiveShards(shards)
 	if reg := e.obs; reg != nil {
 		enumerated := int64(end - 1)
 		feasible := e.countFeasible(cfg.BufferWidth)
 		reg.Add("core.select.masks_enumerated", enumerated)
 		reg.Add("core.select.masks_feasible", feasible)
 		reg.Add("core.select.masks_pruned", enumerated-feasible)
-		reg.Gauge("core.select.workers").Set(int64(workers))
 	}
 	if !found {
 		return Candidate{}, nil, errNothingFits(cfg.BufferWidth)

@@ -2,8 +2,8 @@ package core
 
 import "context"
 
-// greedyStrategy is the eager density-greedy selector. Sequential and
-// candidate-free: KeepCandidates and Workers > 1 are rejected.
+// greedyStrategy is the eager density-greedy selector. Candidate-free:
+// KeepCandidates is rejected.
 type greedyStrategy struct{}
 
 func (greedyStrategy) Name() string { return "greedy" }

@@ -2,8 +2,8 @@ package core
 
 import "context"
 
-// knapsackStrategy is the exact DP selector. It neither enumerates
-// candidates nor shards: KeepCandidates and Workers > 1 are rejected.
+// knapsackStrategy is the exact DP selector. It never enumerates
+// candidates, so KeepCandidates is rejected.
 type knapsackStrategy struct{}
 
 func (knapsackStrategy) Name() string { return "knapsack" }
@@ -19,8 +19,8 @@ func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Can
 // messages, the max-gain feasible combination is a 0/1 knapsack with
 // value = gain and weight = width. O(n × BufferWidth) DP cells, each
 // carrying the exact cover bitset of its chosen set so gain ties break
-// toward higher coverage — the same secondary objective better() gives the
-// exhaustive reference. Without the tie-break, a degenerate universe where
+// toward higher coverage — the same secondary objective betterScored gives
+// the exhaustive reference. Without the tie-break, a degenerate universe where
 // every gain is zero (e.g. a single-execution product, whose entropy is 0)
 // would never strictly improve any cell and the DP would return an empty
 // Candidate with no error. Item order plus strict-improvement replacement

@@ -2,8 +2,8 @@ package core
 
 import "context"
 
-// maxCoverageStrategy is the coverage-greedy ablation selector. Sequential
-// and candidate-free: KeepCandidates and Workers > 1 are rejected.
+// maxCoverageStrategy is the coverage-greedy ablation selector.
+// Candidate-free: KeepCandidates is rejected.
 type maxCoverageStrategy struct{}
 
 func (maxCoverageStrategy) Name() string { return "max-coverage" }

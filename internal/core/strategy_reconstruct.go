@@ -10,8 +10,8 @@ import (
 // reconstructStrategy selects for debuggability directly: instead of the
 // paper's mutual-information proxy, it minimizes the expected number of
 // executions a reconstruction engine would still have to consider after
-// observing the traced projection of a random execution. Sequential and
-// candidate-free: KeepCandidates and Workers > 1 are rejected.
+// observing the traced projection of a random execution. Candidate-free:
+// KeepCandidates is rejected.
 type reconstructStrategy struct{}
 
 func (reconstructStrategy) Name() string { return "reconstruct" }

@@ -30,6 +30,25 @@ func universeEvaluator(t *testing.T, messages, flows int, p synth.Params, seed i
 	return e
 }
 
+// synthEvaluator builds an evaluator over a generated flow family.
+func synthEvaluator(t testing.TB, flows, states int, branch, groupProb float64, seed int64) *Evaluator {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	insts, err := synth.Scenario(flows, synth.Params{States: states, Branch: branch, MaxWidth: 8, GroupProb: groupProb}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := interleave.New(insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestMethodRegistryRoundTrip pins the registry as the single source of
 // truth: every registered Method round-trips through its String form, names
 // are unique, and the two failure modes (unknown name, unregistered value)
@@ -97,22 +116,13 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 				}
 			}
 
-			par := Config{BufferWidth: 8, Method: m, Workers: 4}
-			_, err = Select(e, par)
-			if caps.Workers {
-				if err != nil {
-					t.Fatalf("Workers supported but rejected: %v", err)
-				}
-			} else {
-				if err == nil {
-					t.Fatal("Workers=4 unsupported but accepted")
-				}
-				if !strings.Contains(err.Error(), "does not support Workers") {
-					t.Errorf("rejection %q does not name the option", err)
-				}
+			// Every strategy searches serially: Workers > 1 is rejected by
+			// name, while 0 and 1 are valid everywhere.
+			if _, err := Select(e, Config{BufferWidth: 8, Method: m, Workers: 4}); err == nil {
+				t.Fatal("Workers=4 accepted")
+			} else if !strings.Contains(err.Error(), "does not support Workers > 1") {
+				t.Errorf("rejection %q does not name the option", err)
 			}
-
-			// Workers 0 and 1 mean "serial" and are valid everywhere.
 			for _, w := range []int{0, 1} {
 				if _, err := Select(e, Config{BufferWidth: 8, Method: m, Workers: w}); err != nil {
 					t.Errorf("Workers=%d rejected: %v", w, err)
@@ -146,7 +156,6 @@ func TestBranchBoundMatchesExhaustiveDifferential(t *testing.T) {
 
 		cfg := Config{BufferWidth: budget, MaxCandidates: defaultMaxCandidates}
 		ex, _, exErr := selectExhaustive(context.Background(), e, cfg)
-		cfg.Workers = 1
 		bb, bbErr := selectBranchBound(context.Background(), e, cfg)
 		if (exErr == nil) != (bbErr == nil) {
 			t.Fatalf("trial %d (n=%d, budget %d): exhaustive err %v vs branch-bound err %v",

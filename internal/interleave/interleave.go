@@ -13,6 +13,7 @@ import (
 	"math/big"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"tracescale/internal/flow"
@@ -39,6 +40,9 @@ type Product struct {
 	out       [][]Edge
 	numEdges  int
 	obs       *obs.Registry // observability sink; nil is a valid no-op
+
+	pathsOnce sync.Once
+	paths     *big.Int // TotalPaths, counted on first call
 }
 
 // ErrNotLegallyIndexed is returned by New when two instances of the same
@@ -307,19 +311,23 @@ func (p *Product) Message(e Edge) flow.Message {
 // TotalPaths returns the exact number of executions of the interleaved
 // flow: directed paths from an initial state to a stop state. It is the
 // Counter over an empty observation: with nothing traced, every edge is
-// consistent.
+// consistent. The product is immutable, so the count runs once, on the
+// first call (interleave.paths_counted counts it); the returned value is
+// shared by every caller and must not be modified.
 func (p *Product) TotalPaths() *big.Int {
-	total := p.newCounter(nil, nil, Exact).Total()
-	if p.obs != nil {
-		p.obs.Counter("interleave.paths_counted").Inc()
-		// Saturate: the exact count can exceed int64 on big products.
-		if total.IsInt64() {
-			p.obs.Gauge("interleave.paths_last").Set(total.Int64())
-		} else {
-			p.obs.Gauge("interleave.paths_last").Set(int64(^uint64(0) >> 1))
+	p.pathsOnce.Do(func() {
+		p.paths = p.newCounter(nil, nil, Exact).Total()
+		if p.obs != nil {
+			p.obs.Counter("interleave.paths_counted").Inc()
+			// Saturate: the exact count can exceed int64 on big products.
+			if p.paths.IsInt64() {
+				p.obs.Gauge("interleave.paths_last").Set(p.paths.Int64())
+			} else {
+				p.obs.Gauge("interleave.paths_last").Set(int64(^uint64(0) >> 1))
+			}
 		}
-	}
-	return total
+	})
+	return p.paths
 }
 
 // MsgStat aggregates the occurrences of one indexed message over the

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tracescale/internal/flow"
+	"tracescale/internal/obs"
 )
 
 // twoInstances returns the paper's running example: two legally indexed
@@ -149,6 +151,35 @@ func TestTotalPathsPaperExample(t *testing.T) {
 	// atomic — so C(4,2) = 6.
 	if got := p.TotalPaths(); got.Cmp(big.NewInt(6)) != 0 {
 		t.Errorf("TotalPaths = %v, want 6", got)
+	}
+}
+
+// The product is immutable, so TotalPaths counts once, even when its first
+// callers race, and every call returns the same shared value.
+func TestTotalPathsCountedOncePerProduct(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := flow.CacheCoherence()
+	p, err := NewObserved([]flow.Instance{{Flow: f, Index: 1}, {Flow: f, Index: 2}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := make([]*big.Int, 3)
+	var wg sync.WaitGroup
+	for i := range totals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			totals[i] = p.TotalPaths()
+		}()
+	}
+	wg.Wait()
+	for i, got := range totals {
+		if got != totals[0] || got.Cmp(big.NewInt(6)) != 0 {
+			t.Errorf("call %d: TotalPaths = %v (%p), want the shared 6 (%p)", i, got, got, totals[0])
+		}
+	}
+	if got := reg.Snapshot()["interleave.paths_counted"]; got != 1 {
+		t.Errorf("interleave.paths_counted = %d after 3 calls, want 1", got)
 	}
 }
 

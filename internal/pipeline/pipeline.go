@@ -3,17 +3,16 @@
 // its instance set, computed in closed form without interleaving it, and
 // the interleaved Product, built lazily on first use for reconstruction
 // and the other consumers that walk it — and memoizes selection Results
-// per normalized Config (Workers is erased from the key: every worker
-// count selects a byte-identical Result), so that width sweeps, candidate
-// dumps, ablation curves, CLI invocations, the serving layer, and the
-// public facade all reuse one analysis instead of recomputing it per data
-// point. Concurrent identical selections are singleflighted: they share
-// one in-progress computation, and cancelling every interested caller
-// cancels the computation itself. Sessions are themselves memoized in a
-// Cache keyed by a content fingerprint of the instance listing (flow
-// structure and indices, in listing order, which the evaluator's message
-// universe and tie-breaks follow), so independently built but
-// structurally identical scenarios share the same Session.
+// per normalized Config (Workers 0 and 1 share one key: both select the
+// same Result), so that width sweeps, candidate dumps, ablation curves,
+// CLI invocations, the serving layer, and the public facade all reuse one
+// analysis instead of recomputing it per data point. A selection runs on
+// its caller's goroutine under the caller's context. Sessions are
+// themselves memoized in a Cache keyed by a content fingerprint of the
+// instance listing (flow structure and indices, in listing order, which
+// the evaluator's message universe and tie-breaks follow), so
+// independently built but structurally identical scenarios share the same
+// Session.
 //
 // The layer is observable: a Cache built with NewCacheObs records
 // pipeline.cache.* (hits, misses, evictions, size), pipeline.fingerprint_ns,
@@ -48,21 +47,7 @@ type Session struct {
 
 	mu      sync.Mutex
 	results map[core.Config]*core.Result
-	flights map[core.Config]*flight
 	recons  map[reconKey]*reconstruct.Result
-}
-
-// flight is one in-progress selection shared by every concurrent caller
-// with the same normalized Config (singleflight). The computation runs on
-// its own goroutine under its own context; waiters that are cancelled
-// leave without stopping it, and the last waiter to leave cancels the
-// computation so no shard pool keeps burning for a request nobody wants.
-type flight struct {
-	done    chan struct{} // closed once res/err are set
-	res     *core.Result
-	err     error
-	waiters int // guarded by Session.mu
-	cancel  context.CancelFunc
 }
 
 // NewSession analyzes the instance set: it computes the Evaluator in closed
@@ -108,7 +93,6 @@ func newSession(fp string, instances []flow.Instance, reg *obs.Registry) (*Sessi
 		e:       e,
 		obs:     reg,
 		results: make(map[core.Config]*core.Result),
-		flights: make(map[core.Config]*flight),
 		recons:  make(map[reconKey]*reconstruct.Result),
 	}, nil
 }
@@ -125,11 +109,9 @@ func (s *Session) Product() *interleave.Product { return s.e.Product() }
 // Evaluator returns the session's precomputed evaluator.
 func (s *Session) Evaluator() *core.Evaluator { return s.e }
 
-// memoKey normalizes cfg into the memo and singleflight key. Workers is
-// zeroed: every worker count selects a byte-identical Result (the
-// parallel-equals-serial property the repo pins), so configs differing
-// only in Workers must share one memo slot instead of recomputing an
-// identical Result per worker count.
+// memoKey normalizes cfg into the memo key. Workers is zeroed: 0 and 1 are
+// its only valid values and both select the same Result, so they share
+// one memo slot instead of recomputing it.
 func memoKey(cfg core.Config) core.Config {
 	cfg.Workers = 0
 	return cfg
@@ -144,96 +126,40 @@ func (s *Session) Select(cfg core.Config) (*core.Result, error) {
 	return s.SelectContext(context.Background(), cfg)
 }
 
-// SelectContext is Select with cancellation and singleflight: concurrent
-// callers with the same normalized Config share one computation instead of
-// duplicating it. The computation runs on its own goroutine, so a caller
-// whose ctx is cancelled returns promptly with ctx's error while remaining
-// waiters keep the flight alive; the last waiter to leave cancels the
-// underlying core.SelectContext, aborting its shard pool. Errors are not
-// memoized — a timed-out flight leaves no poison behind.
+// SelectContext is Select under the caller's context: the selection runs
+// on the caller's goroutine, so cancelling ctx aborts its scan and returns
+// ctx's error. Errors are not memoized — a cancelled or timed-out
+// selection leaves nothing behind. Concurrent callers that miss the memo
+// each compute; the first Result stored is the one every later caller
+// shares.
 func (s *Session) SelectContext(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	// Validate before the memo lookup: the key normalizes Workers away, so
-	// without this check a Config whose Workers count the method cannot
-	// honor would be answered from a cache entry computed at Workers 0 —
-	// silently masking the invalid combination instead of rejecting it.
+	// without this check a Workers count no method can honor would be
+	// answered from a cache entry computed at Workers 0 — silently masking
+	// the invalid combination instead of rejecting it.
 	if err := core.ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 	key := memoKey(cfg)
 	s.mu.Lock()
-	if res, ok := s.results[key]; ok {
-		s.mu.Unlock()
+	res, ok := s.results[key]
+	s.mu.Unlock()
+	if ok {
 		s.obs.Counter("pipeline.results.hits").Inc()
 		return res, nil
 	}
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		s.mu.Unlock()
-		s.obs.Counter("pipeline.results.shared").Inc()
-		return s.waitFlight(ctx, key, f)
-	}
-	// The flight must outlive any single waiter's ctx: it is shared by every
-	// concurrent caller, and waitFlight cancels it only when the last waiter
-	// leaves. Deriving it from this caller's ctx would cancel everyone's
-	// computation when the first caller times out.
-	//lint:ignore ctxflow singleflight computation detaches deliberately; the last departing waiter cancels it
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	s.flights[key] = f
-	s.mu.Unlock()
 	s.obs.Counter("pipeline.results.misses").Inc()
-	go s.runFlight(fctx, key, cfg, f)
-	return s.waitFlight(ctx, key, f)
-}
-
-// runFlight computes one selection and publishes it to every waiter,
-// memoizing successes. It owns removing the flight from the map (unless
-// the last waiter already abandoned it) and always releases fctx.
-func (s *Session) runFlight(fctx context.Context, key core.Config, cfg core.Config, f *flight) {
-	res, err := core.SelectContext(fctx, s.e, cfg)
-	s.mu.Lock()
-	if err == nil {
-		if prior, ok := s.results[key]; ok {
-			res = prior // keep the first stored Result so callers share one
-		} else {
-			s.results[key] = res
-		}
-	}
-	if s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	f.res, f.err = res, err
-	s.mu.Unlock()
-	f.cancel() // computation finished; release the flight context
-	close(f.done)
-}
-
-// waitFlight blocks until the flight completes or ctx is cancelled. The
-// context strictly wins: even when the flight finished in the same instant
-// (a starved waiter can wake to find both ready), an expired caller gets
-// ctx's error, never a result its deadline already disowned. A cancelled
-// waiter deregisters itself; the last one out cancels the computation and
-// retires the flight so the next caller starts fresh.
-func (s *Session) waitFlight(ctx context.Context, key core.Config, f *flight) (*core.Result, error) {
-	select {
-	case <-f.done:
-		if ctx.Err() == nil {
-			return f.res, f.err
-		}
-	case <-ctx.Done():
+	res, err := core.SelectContext(ctx, s.e, cfg)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
-	f.waiters--
-	last := f.waiters == 0
-	if last && s.flights[key] == f {
-		delete(s.flights, key)
+	defer s.mu.Unlock()
+	if prior, ok := s.results[key]; ok {
+		return prior, nil // keep the first stored Result so callers share one
 	}
-	s.mu.Unlock()
-	if last {
-		f.cancel() // idempotent; a no-op when the flight already finished
-		s.obs.Counter("pipeline.results.flights_cancelled").Inc()
-	}
-	return nil, ctx.Err()
+	s.results[key] = res
+	return res, nil
 }
 
 // Cache memoizes Sessions by instance-set fingerprint. A Cache built with

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tracescale/internal/core"
 	"tracescale/internal/flow"
@@ -153,25 +152,25 @@ func TestCacheNoCrossScenarioAliasing(t *testing.T) {
 	}
 }
 
-// Configs differing only in Workers select byte-identical Results (the
-// pinned parallel-equals-serial property), so the memo key must normalize
-// Workers away: Workers=1 then Workers=4 is a cache hit, not a recompute.
+// Workers 0 and 1 are the valid values and select the same Result, so the
+// memo key must normalize Workers away: Workers=0 then Workers=1 is a
+// cache hit, not a recompute.
 func TestSelectMemoNormalizesWorkers(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewSessionObs(ccInstances(2), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Select(core.Config{BufferWidth: 2, Workers: 1})
+	first, err := s.Select(core.Config{BufferWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Select(core.Config{BufferWidth: 2, Workers: 4})
+	again, err := s.Select(core.Config{BufferWidth: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != again {
-		t.Error("Workers=4 recomputed a Result memoized at Workers=1")
+		t.Error("Workers=1 recomputed a Result memoized at Workers=0")
 	}
 	snap := reg.Snapshot()
 	if snap["pipeline.results.hits"] != 1 || snap["pipeline.results.misses"] != 1 {
@@ -188,62 +187,24 @@ func TestSelectRejectsUnsupportedWorkersDespiteMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the memo with a valid serial greedy selection.
-	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.Greedy}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.Greedy, Workers: 4}); err == nil {
-		t.Error("Workers=4 on greedy answered from the memo instead of being rejected")
-	} else if !strings.Contains(err.Error(), "does not support Workers") {
-		t.Errorf("rejection %q does not name the option", err)
+	for _, m := range []core.Method{core.Greedy, core.Exhaustive} {
+		// Prime the memo with a valid serial selection.
+		if _, err := s.Select(core.Config{BufferWidth: 2, Method: m}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Select(core.Config{BufferWidth: 2, Method: m, Workers: 4}); err == nil {
+			t.Errorf("Workers=4 on %s answered from the memo instead of being rejected", m)
+		} else if !strings.Contains(err.Error(), "does not support Workers") {
+			t.Errorf("rejection %q does not name the option", err)
+		}
 	}
 	if _, err := s.Select(core.Config{BufferWidth: 2, Method: core.Greedy, KeepCandidates: true}); err == nil {
 		t.Error("KeepCandidates on greedy accepted")
 	}
 }
 
-// Concurrent identical selections must share one singleflighted
-// computation: one miss, the rest join the flight, and everyone gets the
-// same Result pointer.
-func TestSelectSingleflightSharesOneCompute(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := NewSessionObs(ccInstances(2), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const callers = 8
-	var wg sync.WaitGroup
-	results := make([]*core.Result, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.Select(core.Config{BufferWidth: 2, Workers: i%4 + 1})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatal("concurrent identical selections returned distinct Results")
-		}
-	}
-	snap := reg.Snapshot()
-	if snap["pipeline.results.misses"] != 1 {
-		t.Errorf("misses = %d, want exactly 1 (singleflight)", snap["pipeline.results.misses"])
-	}
-	if got := snap["pipeline.results.hits"] + snap["pipeline.results.shared"]; got != callers-1 {
-		t.Errorf("hits+shared = %d, want %d", got, callers-1)
-	}
-}
-
-// A cancelled SelectContext caller must return promptly with the context
-// error; since it is the only waiter, the flight itself is cancelled and
-// the next call starts a fresh computation that succeeds.
+// A cancelled SelectContext caller gets the context's error, and the
+// session is not poisoned: the next caller computes and succeeds.
 func TestSelectContextCancelledCallerReleasesFlight(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewSessionObs(ccInstances(2), reg)
@@ -263,25 +224,11 @@ func TestSelectContextCancelledCallerReleasesFlight(t *testing.T) {
 	if len(res.Selected) == 0 {
 		t.Error("post-cancel Select returned an empty selection")
 	}
-	// Eventually no flight lingers (the goroutine may still be retiring).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.flights)
-		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d flights still registered after completion", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
-// Selection errors must not be memoized: a Config that fails (nothing
-// fits) fails on every call without wedging the flight table, and a
-// subsequently valid Config still works.
+// Selection errors must not be memoized: a Config that fails (an unknown
+// method) fails on every call, and a subsequently valid Config still
+// works.
 func TestSelectErrorNotMemoized(t *testing.T) {
 	s, err := NewSession(ccInstances(2))
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 )
 
 // StoreKey content-addresses one selection: a sha256 over the session's
-// instance-set fingerprint and the normalized Config (Workers erased — it
-// changes how the scan is split, never what it returns). Two processes
+// instance-set fingerprint and the normalized Config (Workers erased — its
+// valid values 0 and 1 select the same Result). Two processes
 // that resolve structurally identical scenarios derive identical keys, so
 // servers sharing a spill directory share results instead of recomputing
 // them.

@@ -32,9 +32,9 @@ func batchBody(t testing.TB, batch []map[string]any) []byte {
 }
 
 // TestBatchDedupesDuplicateConfigs pins the batch economics: N duplicate
-// option sets plus M distinct ones cost exactly M scans — duplicates share
-// one computation through the pipeline singleflight (or the store, if they
-// arrive late), never a scan each.
+// option sets plus M distinct ones cost exactly M scans — a duplicate is
+// answered by the store entry its first occurrence left, never a scan of
+// its own.
 func TestBatchDedupesDuplicateConfigs(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := NewHandler(Config{Registry: reg})

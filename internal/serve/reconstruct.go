@@ -163,7 +163,12 @@ func (h *Handler) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	select {
 	case out = <-done:
 	case <-ctx.Done():
-		out.err = ctx.Err()
+	}
+	// The deadline strictly wins: when the engine finishes as the deadline
+	// passes, select picks either ready case at random, and an expired
+	// request must still get its 504.
+	if err := ctx.Err(); err != nil {
+		out.err = err
 	}
 	h.reg.Add("serve.reconstruct_ns", time.Since(start).Nanoseconds())
 	if out.err != nil {

@@ -13,10 +13,10 @@
 //     rejected immediately with 429 and a Retry-After hint rather than
 //     queued, so overload degrades crisply instead of piling up latency.
 //   - Request bodies are capped (413 past the limit).
-//   - Each selection runs under the request context plus an optional
-//     server-side timeout; a client that disconnects cancels the
-//     underlying core.SelectContext shard scan (visible as
-//     core.select.cancelled in /metrics), and a timeout maps to 504.
+//   - Each selection runs on the request's goroutine under the request
+//     context plus an optional server-side timeout; a client that
+//     disconnects cancels the underlying core.SelectContext scan (visible
+//     as core.select.cancelled in /metrics), and a timeout maps to 504.
 //   - Graceful shutdown is the caller's: http.Server.Shutdown drains
 //     in-flight handlers, and because every selection hangs off a request
 //     context, nothing outlives the drain.
@@ -26,8 +26,9 @@
 // the session layer, so a repeated selection — even across process
 // restarts when the store spills to disk — skips the scan entirely.
 // POST /select/batch runs many option sets against one scenario in a
-// single request; duplicate configs inside a batch singleflight through
-// the pipeline layer, so M distinct configs cost exactly M scans.
+// single request, in order; a duplicate config is answered by the store
+// entry its first occurrence left, so M distinct configs cost exactly M
+// scans.
 //
 // POST /reconstruct closes the loop on the debug side: given the scenario,
 // the traced signal set, and the projection read back from the buffer, it
@@ -47,8 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
-	"sync"
 	"time"
 
 	"tracescale/internal/core"
@@ -69,11 +68,8 @@ type Options struct {
 	NoPack bool `json:"noPack,omitempty"`
 	// MaxCandidates bounds exhaustive enumeration (0 = default).
 	MaxCandidates int `json:"maxCandidates,omitempty"`
-	// Workers is an upper bound on the shard pool of the exhaustive scan,
-	// the one sharding method (0 = GOMAXPROCS); counts above GOMAXPROCS
-	// are clamped to it. The Result is byte-identical at every worker
-	// count; every other method, branch-bound included, rejects
-	// workers > 1 with a 422.
+	// Workers is accepted as 0 or 1, which select the same Result: every
+	// method searches serially, so workers > 1 is a 422.
 	Workers int `json:"workers,omitempty"`
 	// KeepCandidates returns every feasible candidate in the response.
 	// Only the exhaustive method supports it; any other method rejects the
@@ -307,21 +303,11 @@ func (h *Handler) requestCtx(r *http.Request) (context.Context, context.CancelFu
 }
 
 // selectOne answers one resolved selection: store first, then the session
-// layer (memo + singleflight), storing what it computes. The Session is
-// resolved lazily through sesOnce, so a pure store hit never pays the
-// interleave build.
-//
-// A request's workers count is an upper bound: it is clamped to
-// GOMAXPROCS after validation, so workers > 1 on a method that cannot
-// shard is still rejected on any machine, while a huge count cannot fan an
-// exhaustive scan out into one goroutine per mask. Every count selects the
-// same Result, so the clamp never changes a response.
+// layer's memo, storing what it computes. The Session is resolved lazily
+// through sesOnce, so a pure store hit never pays the analysis.
 func (h *Handler) selectOne(ctx context.Context, cfg core.Config, sesOnce *sessionOnce) (*core.Result, error) {
 	if err := core.ValidateConfig(cfg); err != nil {
 		return nil, err
-	}
-	if procs := runtime.GOMAXPROCS(0); cfg.Workers > procs {
-		cfg.Workers = procs
 	}
 	key := pipeline.StoreKey(sesOnce.fp, cfg)
 	if res, ok := h.store.Get(key); ok {
@@ -342,18 +328,22 @@ func (h *Handler) selectOne(ctx context.Context, cfg core.Config, sesOnce *sessi
 // sessionOnce resolves a scenario's Session at most once per request, and
 // only when some selection actually misses the store. fp is the instance
 // set's content fingerprint, computed eagerly because every store key
-// needs it.
+// needs it. A request resolves its selections one at a time, so no lock
+// guards the fields.
 type sessionOnce struct {
 	fp string
 
-	once sync.Once
+	done bool
 	ses  *pipeline.Session
 	err  error
 	get  func() (*pipeline.Session, error)
 }
 
 func (s *sessionOnce) resolve() (*pipeline.Session, error) {
-	s.once.Do(func() { s.ses, s.err = s.get() })
+	if !s.done {
+		s.ses, s.err = s.get()
+		s.done = true
+	}
 	return s.ses, s.err
 }
 
@@ -486,29 +476,23 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		fp:  pipeline.FingerprintOf(insts, h.reg),
 		get: func() (*pipeline.Session, error) { return h.cache.Session(insts) },
 	}
-	// Items run concurrently on purpose: duplicate configs then share one
-	// in-flight computation through the pipeline's singleflight, so a batch
-	// with M distinct configs costs exactly M scans no matter how many
-	// duplicates ride along (core.select.runs pins this).
+	// Items run in order: a duplicate config is answered by the store entry
+	// its first occurrence left, so a batch with M distinct configs costs
+	// exactly M scans no matter how many duplicates ride along
+	// (core.select.runs pins this).
 	items := make([]BatchItem, len(breq.Batch))
-	var wg sync.WaitGroup
 	for i, o := range breq.Batch {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg, err := o.config(breq.BufferWidth)
-			if err == nil {
-				var res *core.Result
-				if res, err = h.selectOne(ctx, cfg, sesOnce); err == nil {
-					items[i] = BatchItem{Result: buildResponse(breq.Name, cfg, res)}
-					return
-				}
+		cfg, err := o.config(breq.BufferWidth)
+		if err == nil {
+			var res *core.Result
+			if res, err = h.selectOne(ctx, cfg, sesOnce); err == nil {
+				items[i] = BatchItem{Result: buildResponse(breq.Name, cfg, res)}
+				continue
 			}
-			items[i] = BatchItem{Error: selectErrString(err)}
-			h.reg.Counter("serve.batch.item_errors").Inc()
-		}()
+		}
+		items[i] = BatchItem{Error: selectErrString(err)}
+		h.reg.Counter("serve.batch.item_errors").Inc()
 	}
-	wg.Wait()
 	h.reg.Add("serve.batch.items", int64(len(items)))
 	h.reg.Counter("serve.ok").Inc()
 	writeJSON(w, http.StatusOK, &BatchResponse{Scenario: breq.Name, Results: items})

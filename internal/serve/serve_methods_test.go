@@ -3,12 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 
 	"tracescale/internal/core"
-	"tracescale/internal/obs"
 )
 
 // Every registered strategy name is a valid HTTP method value, and the
@@ -48,6 +46,8 @@ func TestUnsupportedOptionsReturn422(t *testing.T) {
 		{"keepCandidates+knapsack", map[string]any{"method": "knapsack", "keepCandidates": true}, "does not support KeepCandidates"},
 		{"workers+greedy", map[string]any{"method": "greedy", "workers": 2}, "does not support Workers"},
 		{"workers+branch-bound", map[string]any{"method": "branch-bound", "workers": 2}, "does not support Workers"},
+		{"workers+exhaustive", map[string]any{"method": "exhaustive", "workers": 2}, "does not support Workers > 1"},
+		{"width over the limit", map[string]any{"width": core.MaxBufferWidth + 1}, "65536-bit limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,8 +55,12 @@ func TestUnsupportedOptionsReturn422(t *testing.T) {
 			if rec.Code != http.StatusUnprocessableEntity {
 				t.Fatalf("status = %d, want 422 (body %s)", rec.Code, rec.Body)
 			}
-			if !strings.Contains(rec.Body.String(), tc.want) {
-				t.Errorf("body %q does not explain the rejection (%q)", rec.Body, tc.want)
+			var body errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(body.Error, tc.want) {
+				t.Errorf("error %q does not explain the rejection (%q)", body.Error, tc.want)
 			}
 		})
 	}
@@ -84,16 +88,5 @@ func TestKeepCandidatesReturnsCandidates(t *testing.T) {
 		if len(c.Messages) == 0 {
 			t.Error("candidate with no messages")
 		}
-	}
-	// Workers > 1 on exhaustive (which shards) stays a 200, and the count
-	// is an upper bound: a huge one is clamped to GOMAXPROCS instead of
-	// fanning the 2^16-mask scan out into one goroutine per mask.
-	reg := obs.NewRegistry()
-	h = NewHandler(Config{Registry: reg})
-	if rec := post(t, h, slowBody(t, 16, map[string]any{"workers": 1 << 30})); rec.Code != http.StatusOK {
-		t.Fatalf("huge workers on exhaustive: status = %d, body %s", rec.Code, rec.Body)
-	}
-	if got, procs := reg.Snapshot()["core.select.workers"], int64(runtime.GOMAXPROCS(0)); got < 1 || got > procs {
-		t.Errorf("core.select.workers = %d, want 1..GOMAXPROCS=%d", got, procs)
 	}
 }

@@ -166,9 +166,9 @@ func NewEvaluator(p *Product) (*Evaluator, error) { return core.NewEvaluator(p) 
 // and pack leftover buffer bits with message subgroups.
 func Select(e *Evaluator, cfg Config) (*Result, error) { return core.Select(e, cfg) }
 
-// SelectContext is Select with cancellation: the exhaustive shard scan
-// polls ctx and aborts early when it is cancelled. With an uncancelled
-// context the Result is byte-identical to Select's.
+// SelectContext is Select with cancellation: the exhaustive and
+// branch-and-bound searches poll ctx and abort early when it is cancelled.
+// With an uncancelled context the Result is byte-identical to Select's.
 func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, error) {
 	return core.SelectContext(ctx, e, cfg)
 }
