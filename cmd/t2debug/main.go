@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,45 +27,68 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if err == errUsage {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "t2debug:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage signals a bad invocation: usage was already printed, exit 2.
+var errUsage = errors.New("usage")
+
+// run executes one t2debug invocation against the given argument list,
+// writing all output to w. main is a thin exit-code shim around it, so
+// tests drive the full CLI in-process with a bytes.Buffer.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("t2debug", flag.ContinueOnError)
 	var (
-		caseID = flag.Int("case", 1, "case study (1-5)")
-		seed   = flag.Int64("seed", 1, "simulation seed")
-		dump   = flag.String("dump", "", "write golden/buggy trace files into this directory")
-		prose  = flag.Bool("narrate", false, "render the session as §5.7-style prose")
-		tl     = flag.Bool("timeline", false, "render the buggy run's event timeline")
+		caseID = fs.Int("case", 1, "case study (1-5)")
+		seed   = fs.Int64("seed", 1, "simulation seed")
+		dump   = fs.String("dump", "", "write golden/buggy trace files into this directory")
+		prose  = fs.Bool("narrate", false, "render the session as §5.7-style prose")
+		tl     = fs.Bool("timeline", false, "render the buggy run's event timeline")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return errUsage
+	}
 
 	cs, err := opensparc.CaseStudyByID(*caseID)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	bug := cs.Bug()
-	fmt.Printf("=== Case study %d: %s on %s ===\n", cs.ID, cs.Scenario.Name, "OpenSPARC T2")
-	fmt.Printf("injected: %s\n\n", bug)
+	fmt.Fprintf(w, "=== Case study %d: %s on %s ===\n", cs.ID, cs.Scenario.Name, "OpenSPARC T2")
+	fmt.Fprintf(w, "injected: %s\n\n", bug)
 
-	run, err := exp.RunCase(cs, *seed)
+	cr, err := exp.RunCase(cs, *seed)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	sel := run.Selection
-	fmt.Printf("selected trace messages (%d/%d bits):\n  %s\n",
+	sel := cr.Selection
+	fmt.Fprintf(w, "selected trace messages (%d/%d bits):\n  %s\n",
 		sel.WP.Width, exp.BufferWidth, strings.Join(sel.WP.TracedNames(), ", "))
-	fmt.Printf("flow-spec coverage %.2f%%, buffer utilization %.2f%%\n\n",
+	fmt.Fprintf(w, "flow-spec coverage %.2f%%, buffer utilization %.2f%%\n\n",
 		100*sel.WP.Coverage, 100*sel.WP.Utilization)
 
-	fmt.Printf("golden run: %d events, passed=%v\n", len(run.Golden.Events), run.Golden.Passed())
-	fmt.Printf("buggy run:  %d events, %d symptom(s); first: %s\n\n",
-		len(run.Buggy.Events), len(run.Buggy.Symptoms), run.Buggy.Symptoms[0])
+	fmt.Fprintf(w, "golden run: %d events, passed=%v\n", len(cr.Golden.Events), cr.Golden.Passed())
+	fmt.Fprintf(w, "buggy run:  %d events, %d symptom(s); first: %s\n\n",
+		len(cr.Buggy.Events), len(cr.Buggy.Symptoms), cr.Buggy.Symptoms[0])
 
-	fmt.Println("observed traced-message statuses (failing instance / whole run):")
+	fmt.Fprintln(w, "observed traced-message statuses (failing instance / whole run):")
 	for _, name := range sel.WP.TracedNames() {
-		fmt.Printf("  %-14s %-8s / %s\n", name, run.Obs.Focused[name], run.Obs.Global[name])
+		fmt.Fprintf(w, "  %-14s %-8s / %s\n", name, cr.Obs.Focused[name], cr.Obs.Global[name])
 	}
 
-	fmt.Println("\ndebugging session:")
-	for i, step := range run.Report.Steps {
+	fmt.Fprintln(w, "\ndebugging session:")
+	for i, step := range cr.Report.Steps {
 		verdict := "consistent"
 		if len(step.Eliminated) > 0 {
 			ids := make([]string, len(step.Eliminated))
@@ -74,63 +99,66 @@ func main() {
 		} else if step.Exonerated {
 			verdict = fmt.Sprintf("exonerates IP pair %s->%s", step.Src, step.Dst)
 		}
-		fmt.Printf("  %2d. investigate %-14s (%s): %s — %d causes, %d IP pairs remain\n",
+		fmt.Fprintf(w, "  %2d. investigate %-14s (%s): %s — %d causes, %d IP pairs remain\n",
 			i+1, step.Msg, step.Focused, verdict,
-			run.Report.CauseCurve[i], run.Report.PairCurve[i])
+			cr.Report.CauseCurve[i], cr.Report.PairCurve[i])
 	}
 
-	fmt.Printf("\npath localization: %.4f%% of %s interleaved-flow executions remain candidates\n",
-		100*run.LocWP, sel.Evaluator.Product().TotalPaths())
-	fmt.Printf("root-cause pruning: %d of %d pruned (%.2f%%)\n",
-		run.Report.TotalCauses-len(run.Report.Plausible), run.Report.TotalCauses,
-		100*run.Report.PrunedFraction)
-	fmt.Println("\nplausible root cause(s):")
-	for _, c := range run.Report.Plausible {
+	fmt.Fprintf(w, "\npath localization: %.4f%% of %s interleaved-flow executions remain candidates\n",
+		100*cr.LocWP, sel.Evaluator.Product().TotalPaths())
+	fmt.Fprintf(w, "root-cause pruning: %d of %d pruned (%.2f%%)\n",
+		cr.Report.TotalCauses-len(cr.Report.Plausible), cr.Report.TotalCauses,
+		100*cr.Report.PrunedFraction)
+	fmt.Fprintln(w, "\nplausible root cause(s):")
+	for _, c := range cr.Report.Plausible {
 		marker := " "
 		if c.ID == cs.GroundTruth {
 			marker = "*" // the injected ground truth
 		}
-		fmt.Printf("  %s [%s] %s\n      -> %s\n", marker, c.IP, c.Function, c.Implication)
+		fmt.Fprintf(w, "  %s [%s] %s\n      -> %s\n", marker, c.IP, c.Function, c.Implication)
 	}
-	fmt.Println("\n(* = the injected bug's ground-truth cause)")
+	fmt.Fprintln(w, "\n(* = the injected bug's ground-truth cause)")
 
 	if *tl {
-		fmt.Println()
-		if err := soc.WriteTimeline(os.Stdout, run.Buggy, 100); err != nil {
-			fail(err)
+		fmt.Fprintln(w)
+		if err := soc.WriteTimeline(w, cr.Buggy, 100); err != nil {
+			return err
 		}
 	}
 
 	if *prose {
-		fmt.Println("\nnarrative:")
-		for _, line := range debugger.Narrate(run.Obs, run.Report) {
-			fmt.Println("  " + line)
+		fmt.Fprintln(w, "\nnarrative:")
+		for _, line := range debugger.Narrate(cr.Obs, cr.Report) {
+			fmt.Fprintln(w, "  "+line)
 		}
 	}
 
 	if *dump != "" {
-		golden, buggy, err := exp.TraceFiles(run)
+		golden, buggy, err := exp.TraceFiles(cr)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		write := func(name string, entries []tbuf.Entry) {
-			f, err := os.Create(filepath.Join(*dump, name))
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			if err := trace.Write(f, entries); err != nil {
-				fail(err)
-			}
+		if err := writeTrace(filepath.Join(*dump, fmt.Sprintf("case%d_golden.trace", cs.ID)), golden); err != nil {
+			return err
 		}
-		write(fmt.Sprintf("case%d_golden.trace", cs.ID), golden)
-		write(fmt.Sprintf("case%d_buggy.trace", cs.ID), buggy)
-		fmt.Printf("\ntrace files written to %s (%d golden, %d buggy entries)\n",
+		if err := writeTrace(filepath.Join(*dump, fmt.Sprintf("case%d_buggy.trace", cs.ID)), buggy); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\ntrace files written to %s (%d golden, %d buggy entries)\n",
 			*dump, len(golden), len(buggy))
 	}
+	return nil
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "t2debug:", err)
-	os.Exit(1)
+// writeTrace writes entries to path in the trace-file format.
+func writeTrace(path string, entries []tbuf.Entry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.Write(f, entries); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,8 +1,7 @@
 // Regression: drive the fc1-style regression environment (§4 of the
-// paper) against the golden T2 model and a buggy variant, with
-// credit-based flow control and per-IP port contention switched on, and
-// render the failing run's event timeline. Uses the repository's internal
-// packages; see examples/quickstart for the public-API path.
+// paper) against the golden T2 model and a buggy variant, and render a
+// failing run's event timeline. Uses the repository's internal packages;
+// see examples/quickstart for the public-API path.
 //
 //	go run ./examples/regression
 package main
@@ -45,42 +44,20 @@ func main() {
 		fmt.Printf("    ! %s\n", v)
 	}
 
-	// Backpressure study: the same scenario under credit-based flow
-	// control and single-ported IPs takes longer but still completes.
+	// The same bug on usage scenario 1: the Mondo transfer request is
+	// dropped and every Mondo instance hangs behind it.
 	scenario, err := opensparc.ScenarioByID(1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sc := soc.Scenario{Name: scenario.Name, Launches: scenario.Launches(6, 20)}
-	free, err := soc.Run(sc, soc.Config{Seed: 7})
+	buggy, err := soc.Run(sc, soc.Config{Seed: 7, Injectors: inject.Injectors(bug)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tight, err := soc.Run(sc, soc.Config{
-		Seed:    7,
-		Credits: opensparc.Credits(),
-		Ports:   map[string]int{opensparc.DMU: 1, opensparc.NCU: 2},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbackpressure: unconstrained %d cycles vs credited+ported %d cycles (same %d instances)\n",
-		free.EndCycle, tight.EndCycle, tight.Completed)
-
-	// A credit leak in action: bug 33 drops reqtot, which never returns
-	// its DMU->SIU credit; with one credit on that link the whole Mondo
-	// path starves.
-	leaky, err := soc.Run(sc, soc.Config{
-		Seed:      7,
-		Credits:   opensparc.Credits(),
-		Injectors: inject.Injectors(bug),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwith the bug and credits, %d of %d instances hang; timeline:\n\n",
-		len(leaky.Symptoms), tight.Completed)
-	if err := soc.WriteTimeline(os.Stdout, leaky, 72); err != nil {
+	fmt.Printf("\n%s with the bug: %d of %d instances hang; timeline:\n\n",
+		scenario.Name, len(buggy.Symptoms), len(sc.Launches))
+	if err := soc.WriteTimeline(os.Stdout, buggy, 72); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // NilSafe enforces the obs package's documented contract: every method on a
-// nil *Registry, *Counter, *Gauge, *Histogram, or *Trace must be a no-op.
+// nil *Registry, *Counter, *Gauge or *Histogram must be a no-op.
 // Mechanically: an exported pointer-receiver method that reads or writes a
 // field of its receiver must make `if recv == nil { return ... }` its first
 // statement. Methods that never touch a receiver field — pure delegations

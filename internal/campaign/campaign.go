@@ -324,11 +324,6 @@ func Run(spec Spec) (*Report, error) {
 		rep.Scorecards[k].Spec = s.Scenarios[0].Sets[k].Spec
 	}
 	meanAmbiguity(s, rep)
-	reg.Trace().Emit("campaign", "run", map[string]int64{
-		"scenarios": int64(len(s.Scenarios)),
-		"runs":      int64(len(points)),
-		"sets":      int64(len(rep.Sets)),
-	})
 	return rep, nil
 }
 

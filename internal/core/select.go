@@ -194,13 +194,6 @@ func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, erro
 		reg.Add("core.select.wall_ns", wall.Nanoseconds())
 		reg.Histogram("core.select.wall_us", selectWallBounds).Observe(wall.Microseconds())
 		reg.Add("core.pack.packed", int64(len(res.Packed)))
-		reg.Trace().Emit("core", "select", map[string]int64{
-			"method":   int64(cfg.Method),
-			"width":    int64(cfg.BufferWidth),
-			"selected": int64(len(res.Selected)),
-			"packed":   int64(len(res.Packed)),
-			"bits":     int64(res.Width),
-		})
 	}
 	return res, nil
 }

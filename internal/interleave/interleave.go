@@ -219,11 +219,6 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 		reg.Add("interleave.edges", int64(p.numEdges))
 		//lint:ignore clockrand registry-gated metrics timing; never reaches the product's structure
 		reg.Add("interleave.build_ns", time.Since(start).Nanoseconds())
-		reg.Trace().Emit("interleave", "build", map[string]int64{
-			"instances": int64(len(instances)),
-			"states":    int64(p.NumStates()),
-			"edges":     int64(p.numEdges),
-		})
 	}
 	return p, nil
 }

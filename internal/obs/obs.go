@@ -1,21 +1,20 @@
 // Package obs is the observability layer of the tracescale stack: a
-// dependency-free metrics registry (atomic counters, gauges, fixed-bucket
-// histograms) plus a structured run-trace sink. The paper's whole premise
-// is observability under a budget — §3 selects the messages that maximize
-// what a debugger can see — and obs applies the same discipline to our own
-// pipeline: the SoC simulator, the interleaved-product builder, the
-// selectors, and the session cache all report what they did through a
-// Registry, so benchmark trajectories and regressions (cache-miss storms,
-// worker starvation, credit-stall pile-ups) are measurable instead of
-// invisible.
+// dependency-free metrics registry of atomic counters, gauges and
+// fixed-bucket histograms. The paper's whole premise is observability
+// under a budget — §3 selects the messages that maximize what a debugger
+// can see — and obs applies the same discipline to our own pipeline: the
+// SoC simulator, the interleaved-product builder, the selectors, and the
+// session cache all report what they did through a Registry, so benchmark
+// trajectories and regressions (cache-miss storms, evictions, campaign
+// timeouts) are measurable instead of invisible.
 //
 // # Nil-safe contract
 //
-// Every method on a nil *Registry, nil *Counter, nil *Gauge, nil
-// *Histogram, and nil *Trace is a no-op (lookups on a nil Registry return
-// nil metrics). Library code therefore threads a possibly-nil registry
-// unconditionally and never branches on it; call sites that opt out pay
-// only a nil check per aggregated record, never per inner-loop iteration.
+// Every method on a nil *Registry, nil *Counter, nil *Gauge and nil
+// *Histogram is a no-op (lookups on a nil Registry return nil metrics).
+// Library code therefore threads a possibly-nil registry unconditionally
+// and never branches on it; call sites that opt out pay only a nil check
+// per aggregated record, never per inner-loop iteration.
 // Instrumented layers must keep hot loops metric-free: accumulate locally,
 // record once per phase.
 //
@@ -28,9 +27,8 @@
 //
 // # Reproducibility
 //
-// Trace events carry monotonic sequence numbers, not wall-clock stamps, so
-// two runs of a deterministic workload produce byte-identical traces.
-// Wall time appears only in metrics explicitly suffixed _ns.
+// Wall time appears only in metrics suffixed _ns or _us, so every other
+// metric of a deterministic workload reads the same on every run.
 package obs
 
 import (
@@ -140,24 +138,22 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Registry is a named collection of metrics plus a run-trace sink.
-// Metrics are created lazily on first lookup and live for the registry's
-// lifetime. A nil *Registry is a valid no-op sink.
+// Registry is a named collection of metrics. Metrics are created lazily
+// on first lookup and live for the registry's lifetime. A nil *Registry
+// is a valid no-op sink.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	trace    *Trace
 }
 
-// NewRegistry returns an empty registry with an attached trace sink.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		trace:    newTrace(defaultTraceCap),
 	}
 }
 
@@ -238,15 +234,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 // Add adds d to the named counter (no-op on a nil Registry).
 func (r *Registry) Add(name string, d int64) { r.Counter(name).Add(d) }
 
-// Trace returns the registry's run-trace sink (nil, and therefore a
-// no-op sink, for a nil Registry).
-func (r *Registry) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	return r.trace
-}
-
 // Snapshot flattens every metric into a name -> value map: counters and
 // gauges map directly; a histogram h expands to h.count, h.sum, and
 // cumulative h.le_<bound> buckets ending in h.le_inf. A nil Registry
@@ -315,86 +302,4 @@ func (r *Registry) Expvar(name string) {
 		return
 	}
 	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
-// defaultTraceCap bounds the in-memory trace sink; events past the cap
-// are dropped and counted, so a runaway workload cannot exhaust memory.
-const defaultTraceCap = 4096
-
-// TraceEvent is one structured run-trace record. Seq is a monotonic
-// per-sink sequence number — deliberately not a wall-clock stamp — so a
-// deterministic workload emits a byte-identical trace on every run.
-type TraceEvent struct {
-	Seq    uint64           `json:"seq"`
-	Layer  string           `json:"layer"`
-	Kind   string           `json:"kind"`
-	Fields map[string]int64 `json:"fields,omitempty"`
-}
-
-// Trace is an ordered, bounded, concurrency-safe run-trace sink. A nil
-// *Trace is a valid no-op sink.
-type Trace struct {
-	mu      sync.Mutex
-	seq     uint64
-	events  []TraceEvent
-	cap     int
-	dropped int64
-}
-
-func newTrace(cap int) *Trace { return &Trace{cap: cap} }
-
-// Emit appends one event, assigning the next sequence number. Fields is
-// retained — pass a fresh map. No-op on a nil Trace.
-func (t *Trace) Emit(layer, kind string, fields map[string]int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cap > 0 && len(t.events) >= t.cap {
-		t.dropped++
-		t.seq++
-		return
-	}
-	t.events = append(t.events, TraceEvent{Seq: t.seq, Layer: layer, Kind: kind, Fields: fields})
-	t.seq++
-}
-
-// Events returns a copy of the emitted events in sequence order (nil for
-// a nil Trace).
-func (t *Trace) Events() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
-// Dropped returns the number of events discarded past the sink's cap.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// WriteJSON writes the trace as JSON lines, one event per line, in
-// sequence order. A nil Trace writes nothing.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	for _, ev := range t.Events() {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
 }

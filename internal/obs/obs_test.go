@@ -66,7 +66,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("x").Max(2)
 	r.Histogram("x", []int64{1}).Observe(9)
 	r.Add("x", 1)
-	r.Trace().Emit("soc", "run", nil)
 	r.Expvar("obs-test-nil")
 	if r.Counter("x").Value() != 0 || r.Gauge("x").Value() != 0 {
 		t.Error("nil metrics should read zero")
@@ -77,18 +76,12 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot should be nil")
 	}
-	if r.Trace().Events() != nil || r.Trace().Dropped() != 0 {
-		t.Error("nil trace should be empty")
-	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(buf.String()) != "{}" {
 		t.Errorf("nil registry WriteJSON = %q, want {}", buf.String())
-	}
-	if err := r.Trace().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -106,61 +99,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 	if got["soc.cycles"] != 123 || got["core.select.workers"] != 4 {
 		t.Errorf("round-tripped snapshot = %v", got)
-	}
-}
-
-func TestTraceSequenceAndBound(t *testing.T) {
-	tr := newTrace(3)
-	for i := 0; i < 5; i++ {
-		tr.Emit("soc", "run.start", map[string]int64{"i": int64(i)})
-	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("len(events) = %d, want cap 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i) {
-			t.Errorf("event %d has seq %d", i, ev.Seq)
-		}
-		if ev.Layer != "soc" || ev.Kind != "run.start" {
-			t.Errorf("event %d = %+v", i, ev)
-		}
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("WriteJSON lines = %d, want 3", len(lines))
-	}
-	var ev TraceEvent
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Seq != 1 || ev.Fields["i"] != 1 {
-		t.Errorf("line 1 = %+v", ev)
-	}
-}
-
-func TestTraceDeterministicAcrossRuns(t *testing.T) {
-	// Two identical emission schedules produce byte-identical traces: seq
-	// numbers are logical, never wall-clock.
-	render := func() string {
-		tr := newTrace(0)
-		tr.Emit("interleave", "build", map[string]int64{"states": 15})
-		tr.Emit("core", "select", map[string]int64{"width": 32})
-		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if a, b := render(), render(); a != b {
-		t.Errorf("traces differ:\n%s\n%s", a, b)
 	}
 }
 
@@ -201,9 +139,6 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Add("hammer.sum", int64(i))
 				h.Observe(int64(i))
 				g.Max(int64(w*perWorker + i))
-				if i%1000 == 0 {
-					r.Trace().Emit("test", "tick", nil)
-				}
 			}
 		}(w)
 	}
@@ -235,18 +170,5 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got, want := snap["hammer.max"], int64(workers*perWorker-1); got != want {
 		t.Errorf("hammer.max = %d, want %d", got, want)
-	}
-	// Trace: every emission got a distinct, gap-free prefix of seq numbers.
-	evs := r.Trace().Events()
-	wantEvents := workers * (perWorker / 1000)
-	if len(evs) != wantEvents && int64(len(evs))+r.Trace().Dropped() != int64(wantEvents) {
-		t.Errorf("trace events+dropped = %d+%d, want %d", len(evs), r.Trace().Dropped(), wantEvents)
-	}
-	seen := make(map[uint64]bool, len(evs))
-	for _, ev := range evs {
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate seq %d", ev.Seq)
-		}
-		seen[ev.Seq] = true
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"tracescale/internal/core"
-	"tracescale/internal/inject"
 	"tracescale/internal/soc"
-	"tracescale/internal/tbuf"
 )
 
 // Table 1 annotates each flow with (number of states, number of messages).
@@ -303,31 +301,6 @@ func TestCaseStudies(t *testing.T) {
 	}
 }
 
-func TestCreditedRunsComplete(t *testing.T) {
-	// The credit configuration must not deadlock any golden scenario: all
-	// instances complete, just more slowly than the unconstrained run.
-	for _, s := range Scenarios() {
-		sc := soc.Scenario{Name: s.Name, Launches: s.Launches(8, 20)}
-		free, err := soc.Run(sc, soc.Config{Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		credited, err := soc.Run(sc, soc.Config{Seed: 2, Credits: Credits()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !credited.Passed() {
-			t.Fatalf("scenario %d deadlocked under credits: %v", s.ID, credited.Symptoms)
-		}
-		if credited.Completed != free.Completed {
-			t.Errorf("scenario %d: credited completed %d, free %d", s.ID, credited.Completed, free.Completed)
-		}
-		if credited.EndCycle < free.EndCycle {
-			t.Errorf("scenario %d: credits made the run faster (%d < %d)?", s.ID, credited.EndCycle, free.EndCycle)
-		}
-	}
-}
-
 func TestScenarioLaunchesRunClean(t *testing.T) {
 	for _, s := range Scenarios() {
 		sc := soc.Scenario{Name: s.Name, Launches: s.Launches(10, 20)}
@@ -341,70 +314,5 @@ func TestScenarioLaunchesRunClean(t *testing.T) {
 		if res.Completed != 10*len(s.FlowNames) {
 			t.Errorf("scenario %d completed %d of %d", s.ID, res.Completed, 10*len(s.FlowNames))
 		}
-	}
-}
-
-// The structured Mondo payload carries a checkable cputhreadid: capture
-// the subgroup window from a run and verify the §5.7 "correct CPUID and
-// ThreadID" check passes for every tag.
-func TestT2DataGenCPUThreadID(t *testing.T) {
-	mon := Flows()[FlowMon]
-	sc := soc.Scenario{Name: "mondo", Launches: soc.Repeat(mon, 20, 1, 0, 8)}
-	res, err := soc.Run(sc, soc.Config{Seed: 4, Data: T2DataGen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("run failed: %v", res.Symptoms)
-	}
-	plan, err := tbuf.NewCapturePlan([]tbuf.Rule{
-		{Message: MsgDMUSIIData, Width: 20, Offset: 0, Bits: 6}, // cputhreadid window
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := soc.NewMonitor(plan, tbuf.New(6, 64), nil)
-	if err := m.Consume(res.Events); err != nil {
-		t.Fatal(err)
-	}
-	entries := m.Buffer().Entries()
-	if len(entries) != 20 {
-		t.Fatalf("captured %d dmusiidata windows, want 20", len(entries))
-	}
-	for _, e := range entries {
-		if e.Data != ExpectedCPUThreadID(e.Msg.Index) {
-			t.Errorf("tag %d: cputhreadid window %06b, want %06b",
-				e.Msg.Index, e.Data, ExpectedCPUThreadID(e.Msg.Index))
-		}
-		cpu, thread := CPUThreadID(e.Data)
-		if cpu != e.Msg.Index%8 || thread != (e.Msg.Index/8)%8 {
-			t.Errorf("tag %d decodes to cpu %d thread %d", e.Msg.Index, cpu, thread)
-		}
-	}
-	// A payload-corrupting bug (the paper's cause 2) flips the field: the
-	// validator's check catches it.
-	bug, err := BugByID(1) // any corrupt bug retargeted at dmusiidata
-	if err != nil {
-		t.Fatal(err)
-	}
-	bug.Target = MsgDMUSIIData
-	bug.XorMask = 0x5
-	bug.AfterIndex = 0
-	buggy, err := soc.Run(sc, soc.Config{Seed: 4, Data: T2DataGen, Injectors: inject.Injectors(bug)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb := soc.NewMonitor(plan, tbuf.New(6, 64), nil)
-	if err := mb.Consume(buggy.Events); err != nil {
-		t.Fatal(err)
-	}
-	bad := 0
-	for _, e := range mb.Buffer().Entries() {
-		if e.Data != ExpectedCPUThreadID(e.Msg.Index) {
-			bad++
-		}
-	}
-	if bad != 20 {
-		t.Errorf("corruption detected in %d of 20 windows", bad)
 	}
 }

@@ -157,27 +157,3 @@ func (cs CaseStudy) Bug() Bug {
 	}
 	return b
 }
-
-// Credits returns a credit-based flow-control configuration for the T2
-// links, in the spirit of the design's credit-managed PIO and Mondo paths
-// (piowcrd is literally a write-credit return; the DMU requests the SII
-// with reqtot/grant before pushing data). Runs configured with these
-// credits serialize traffic per link and expose credit-leak bugs: a
-// dropped message starves its link. The evaluation harness runs without
-// credits (the paper's selection experiments do not model backpressure);
-// this configuration is for workload studies on the simulator itself.
-func Credits() map[soc.Link]int {
-	return map[soc.Link]int{
-		{Src: NCU, Dst: DMU}: 2, // PIO request path
-		{Src: DMU, Dst: NCU}: 2, // credit returns, Mondo acks
-		{Src: DMU, Dst: SIU}: 1, // the shared SII data path (reqtot/grant arbitrated)
-		{Src: SIU, Dst: NCU}: 2,
-		{Src: DMU, Dst: PEU}: 2,
-		{Src: PEU, Dst: DMU}: 2,
-		{Src: NCU, Dst: MCU}: 2,
-		{Src: MCU, Dst: NCU}: 2,
-		{Src: NCU, Dst: CCX}: 2,
-		{Src: CCX, Dst: NCU}: 2,
-		{Src: SIU, Dst: DMU}: 1,
-	}
-}

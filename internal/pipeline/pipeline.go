@@ -197,27 +197,35 @@ func NewCacheObs(reg *obs.Registry, capacity int) *Cache {
 }
 
 // Session returns the cached Session for the instance set, analyzing it on
-// first use. Construction holds the cache lock so concurrent requests for
-// the same scenario analyze it exactly once; the analysis is the
-// closed-form evaluator, so the lock is never held across a product
-// build. An instance set over interleave.MaxStates is refused before
+// first use. The analysis runs outside the cache lock, so it never holds up
+// callers of other scenarios. Callers that miss on the same scenario at
+// once each analyze it, and all of them get the first Session stored: the
+// rule Session.SelectContext and Session.Reconstruct follow for their
+// memos. An instance set over interleave.MaxStates is refused before
 // anything proportional to its product is allocated.
 func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	fp := fingerprint(instances, c.obs)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.sessions[fp]; ok {
+	s := c.lookup(fp)
+	if s != nil {
 		c.hits++
 		c.obs.Counter("pipeline.cache.hits").Inc()
-		c.order.MoveToBack(el)
-		return el.Value.(*cacheEntry).s, nil
+	}
+	c.mu.Unlock()
+	if s != nil {
+		return s, nil
 	}
 	s, err := newSession(fp, instances, c.obs)
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.misses++
 	c.obs.Counter("pipeline.cache.misses").Inc()
+	if prior := c.lookup(fp); prior != nil {
+		return prior, nil // keep the first stored Session so callers share one
+	}
 	c.sessions[fp] = c.order.PushBack(&cacheEntry{fp: fp, s: s})
 	if c.capacity > 0 && c.order.Len() > c.capacity {
 		lru := c.order.Front()
@@ -228,6 +236,17 @@ func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	}
 	c.obs.Gauge("pipeline.cache.size").Set(int64(c.order.Len()))
 	return s, nil
+}
+
+// lookup returns the cached Session for fp and marks it most recently
+// used, or returns nil. The caller holds c.mu.
+func (c *Cache) lookup(fp string) *Session {
+	el, ok := c.sessions[fp]
+	if !ok {
+		return nil
+	}
+	c.order.MoveToBack(el)
+	return el.Value.(*cacheEntry).s
 }
 
 // Stats returns the cache's lifetime hit and miss counts.

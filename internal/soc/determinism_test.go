@@ -20,7 +20,6 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	sc := Scenario{Name: "det", Launches: Repeat(f, 8, 1, 0, 5)}
 	cfg := Config{
 		Seed:       1234,
-		MinLatency: 1,
 		MaxLatency: 7,
 		Injectors: []Injector{funcInjector(func(ev Event, rng *rand.Rand) Outcome {
 			// A probabilistic corruption: fires on the rng stream, so a
@@ -56,8 +55,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 	// Distinct seeds must actually change the run — otherwise the test
 	// above proves nothing about the RNG plumbing.
-	other, err := Run(sc, Config{Seed: 4321, MinLatency: cfg.MinLatency,
-		MaxLatency: cfg.MaxLatency, Injectors: cfg.Injectors})
+	other, err := Run(sc, Config{Seed: 4321, MaxLatency: cfg.MaxLatency, Injectors: cfg.Injectors})
 	if err != nil {
 		t.Fatal(err)
 	}

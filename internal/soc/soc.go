@@ -7,6 +7,11 @@
 // dropped or misrouted messages), and symptom detection reports hangs and
 // bad-trap failures exactly the way a regression testbench would.
 //
+// The simulator models no backpressure: an instance moves as soon as its
+// transition latency has elapsed and the atomic-state mutex lets it. The
+// paper's evaluation needs the testbed only to interleave flow messages
+// and make injected bugs show.
+//
 // The simulator is deterministic for a given seed: scheduling uses a seeded
 // PRNG and message payloads are derived from (message, index, occurrence,
 // seed) hashes, so a golden and a buggy run can be diffed occurrence by
@@ -85,13 +90,10 @@ func Repeat(f *flow.Flow, n, firstIndex int, start, stride uint64) []Launch {
 	return out
 }
 
-// DataGen produces the payload of one message occurrence. It must be a
-// pure function of its arguments so golden and buggy runs agree on
+// DefaultDataGen derives the payload of one message occurrence from an
+// FNV-1a hash of its coordinates, masked to the message width. It is a
+// pure function of its arguments, so golden and buggy runs agree on
 // unperturbed payloads.
-type DataGen func(m flow.Message, index, occurrence int, seed int64) uint64
-
-// DefaultDataGen derives payloads from an FNV-1a hash of the occurrence
-// coordinates, masked to the message width.
 func DefaultDataGen(m flow.Message, index, occurrence int, seed int64) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d/%d", m.Name, index, occurrence, seed)
@@ -102,68 +104,30 @@ func DefaultDataGen(m flow.Message, index, occurrence int, seed int64) uint64 {
 	return v
 }
 
-// Link identifies one directed IP-pair interface.
-type Link struct {
-	Src, Dst string
-}
-
 // Config parameterizes a simulation run.
 type Config struct {
 	Seed int64
 	// MaxCycles aborts the run (hang detection) when exceeded. Default
 	// 10,000,000.
 	MaxCycles uint64
-	// MinLatency and MaxLatency bound the per-transition delay in cycles
-	// (defaults 1 and 8).
-	MinLatency, MaxLatency uint64
+	// MaxLatency bounds the per-transition delay: a transition takes
+	// 1..MaxLatency cycles, drawn uniformly from the run's PRNG. The
+	// default, 0, means 1: every transition takes one cycle and draws
+	// nothing.
+	MaxLatency uint64
 	// Injectors perturb events in order.
 	Injectors []Injector
-	// Data overrides payload generation (default DefaultDataGen).
-	Data DataGen
-	// Credits bounds the in-flight messages per link (credit-based flow
-	// control, as on T2's PIO paths). Links absent from the map are
-	// unconstrained. A message consumes one credit at emission; the credit
-	// frees CreditDelay cycles after delivery. Dropped and misrouted
-	// messages never return their credit — injected faults leak credits
-	// exactly as they do in silicon.
-	Credits map[Link]int
-	// CreditDelay is the consumer processing time before a credit frees
-	// (default 4).
-	CreditDelay uint64
-	// Ports bounds concurrent emissions per source IP: an IP listed here
-	// can have at most that many messages in flight at once, serializing
-	// the flows that share it. IPs absent from the map are unconstrained.
-	// Unlike credits, a port always frees PortDelay cycles after emission
-	// (the producer moves on even if the message is lost downstream).
-	Ports map[string]int
-	// PortDelay is the producer occupancy per emission (default 2).
-	PortDelay uint64
-	// Obs receives run metrics (soc.cycles, soc.events.*, per-link
-	// soc.credit.stall_cycles.*) and a structured run summary. Nil — the
-	// default — disables instrumentation entirely; the simulator core pays
-	// no per-event cost either way, because counters are aggregated from
-	// the Result and stall attribution only runs when the registry is set.
+	// Obs receives run metrics (soc.runs, soc.cycles, soc.events.*,
+	// soc.instances.*, soc.symptoms, soc.run_cycles). Nil — the default —
+	// disables instrumentation; either way the simulation loop pays
+	// nothing, because the metrics are aggregated from the Result once
+	// per run.
 	Obs *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 10_000_000
-	}
-	if c.MinLatency == 0 {
-		c.MinLatency = 1
-	}
-	if c.MaxLatency < c.MinLatency {
-		c.MaxLatency = c.MinLatency
-	}
-	if c.Data == nil {
-		c.Data = DefaultDataGen
-	}
-	if c.CreditDelay == 0 {
-		c.CreditDelay = 4
-	}
-	if c.PortDelay == 0 {
-		c.PortDelay = 2
 	}
 	return c
 }
@@ -292,72 +256,8 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	occ := make(map[flow.IndexedMsg]int)
 	var cycle uint64
 
-	// Credit-based flow control state. A constrained link's credit is
-	// consumed at emission and freed CreditDelay cycles after delivery.
-	credits := make(map[Link]int, len(cfg.Credits))
-	for l, c := range cfg.Credits {
-		credits[l] = c
-	}
-	constrained := func(l Link) bool {
-		_, ok := cfg.Credits[l]
-		return ok
-	}
-	ports := make(map[string]int, len(cfg.Ports))
-	for ip, c := range cfg.Ports {
-		ports[ip] = c
-	}
-	portConstrained := func(ip string) bool {
-		_, ok := cfg.Ports[ip]
-		return ok
-	}
-	type release struct {
-		link Link
-		ip   string // non-empty for port releases
-		at   uint64
-	}
-	var releases []release
-	freeDue := func(now uint64) {
-		kept := releases[:0]
-		for _, r := range releases {
-			if r.at <= now {
-				if r.ip != "" {
-					ports[r.ip]++
-				} else {
-					credits[r.link]++
-				}
-			} else {
-				kept = append(kept, r)
-			}
-		}
-		releases = kept
-	}
-	// creditableOuts returns the edge indices the instance could fire now
-	// given link credits. Instances at out-degree-zero states report a nil
-	// slice but creditable=true (they complete when picked).
-	creditableOuts := func(in *instance, buf []int) ([]int, bool) {
-		f := in.launch.Flow
-		outs := f.Out(in.state)
-		if len(outs) == 0 {
-			return nil, true
-		}
-		buf = buf[:0]
-		for _, ei := range outs {
-			m := f.Message(f.Edges()[ei].Msg)
-			l := Link{m.Src, m.Dst}
-			if constrained(l) && credits[l] <= 0 {
-				continue
-			}
-			if portConstrained(m.Src) && ports[m.Src] <= 0 {
-				continue
-			}
-			buf = append(buf, ei)
-		}
-		return buf, len(buf) > 0
-	}
-
-	var outBuf, pickBuf []int
+	var ready []int
 	for {
-		freeDue(cycle)
 		// An instance in an atomic state holds the global mutex: only it
 		// may move (flow.Builder guarantees at most one can be atomic).
 		holder := -1
@@ -367,69 +267,23 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 				break
 			}
 		}
-		// Collect instances that can fire at the current cycle.
-		var ready []int
+		// Collect the mutex-legal instances that can fire at the current
+		// cycle, and the next cycle at which a waiting one can.
+		ready = ready[:0]
+		next := ^uint64(0)
 		for i, in := range run {
-			if in.done || in.wedged || in.readyAt > cycle {
+			if in.done || in.wedged || (holder >= 0 && holder != i) {
 				continue
 			}
-			if holder >= 0 && holder != i {
-				continue
-			}
-			if _, ok := creditableOuts(in, outBuf); ok {
+			if in.readyAt <= cycle {
 				ready = append(ready, i)
+			} else if in.readyAt < next {
+				next = in.readyAt
 			}
 		}
 		if len(ready) == 0 {
-			// Advance to the next event: a future readyAt of a mutex-legal
-			// instance or a credit release.
-			next := ^uint64(0)
-			for i, in := range run {
-				if in.done || in.wedged {
-					continue
-				}
-				if holder >= 0 && holder != i {
-					continue
-				}
-				if in.readyAt > cycle && in.readyAt < next {
-					next = in.readyAt
-				}
-			}
-			for _, r := range releases {
-				if r.at > cycle && r.at < next {
-					next = r.at
-				}
-			}
 			if next == ^uint64(0) {
-				break // all done, or deadlocked (wedged mutex holder / leaked credits)
-			}
-			if cfg.Obs != nil {
-				// Attribute the idle gap to the flow-control resources that
-				// caused it: every time-ready, mutex-legal instance whose
-				// outgoing edges are all blocked stalls (next-cycle) cycles
-				// on each blocking link or port.
-				delta := int64(next - cycle)
-				for i, in := range run {
-					if in.done || in.wedged || in.readyAt > cycle {
-						continue
-					}
-					if holder >= 0 && holder != i {
-						continue
-					}
-					f := in.launch.Flow
-					for _, ei := range f.Out(in.state) {
-						m := f.Message(f.Edges()[ei].Msg)
-						l := Link{m.Src, m.Dst}
-						if constrained(l) && credits[l] <= 0 {
-							cfg.Obs.Add("soc.credit.stall_cycles", delta)
-							cfg.Obs.Add("soc.credit.stall_cycles."+l.Src+"->"+l.Dst, delta)
-						}
-						if portConstrained(m.Src) && ports[m.Src] <= 0 {
-							cfg.Obs.Add("soc.port.stall_cycles", delta)
-							cfg.Obs.Add("soc.port.stall_cycles."+m.Src, delta)
-						}
-					}
-				}
+				break // all done, or deadlocked (wedged mutex holder)
 			}
 			cycle = next
 			if cycle > cfg.MaxCycles {
@@ -443,7 +297,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 
 		in := run[ready[rng.Intn(len(ready))]]
 		f := in.launch.Flow
-		outs, _ := creditableOuts(in, pickBuf)
+		outs := f.Out(in.state)
 		if len(outs) == 0 {
 			// Stop state with no successors (the common case) — finished.
 			in.done = true
@@ -458,7 +312,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 			Msg:        im,
 			Src:        m.Src,
 			Dst:        m.Dst,
-			Data:       cfg.Data(m, in.launch.Index, occ[im], cfg.Seed),
+			Data:       DefaultDataGen(m, in.launch.Index, occ[im], cfg.Seed),
 			Occurrence: occ[im],
 		}
 		occ[im]++
@@ -491,20 +345,6 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		res.Events = append(res.Events, ev)
 		in.lastMsg, in.hasMsg = im, true
 
-		// Flow control: the emission consumes a credit on the producer's
-		// link. Delivered messages return it after the consumer's
-		// processing delay; dropped or misrouted ones leak it.
-		if l := (Link{m.Src, m.Dst}); constrained(l) {
-			credits[l]--
-			if !ev.Dropped && !ev.Misrouted {
-				releases = append(releases, release{link: l, at: ev.Cycle + cfg.CreditDelay})
-			}
-		}
-		if portConstrained(m.Src) {
-			ports[m.Src]--
-			releases = append(releases, release{ip: m.Src, at: ev.Cycle + cfg.PortDelay})
-		}
-
 		switch {
 		case ev.Dropped, ev.Misrouted:
 			// The consumer never sees the message; the protocol stalls.
@@ -514,9 +354,9 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 				in.poisoned = true
 			}
 			in.state = edge.To
-			lat := cfg.MinLatency
-			if cfg.MaxLatency > cfg.MinLatency {
-				lat += uint64(rng.Int63n(int64(cfg.MaxLatency - cfg.MinLatency + 1)))
+			lat := uint64(1)
+			if cfg.MaxLatency > 1 {
+				lat += uint64(rng.Int63n(int64(cfg.MaxLatency)))
 			}
 			in.readyAt = ev.Cycle + lat
 			// An execution ends at the first stop state it reaches
@@ -585,14 +425,6 @@ func recordRun(reg *obs.Registry, sc Scenario, res *Result) {
 	reg.Add("soc.instances.wedged", int64(res.Wedged))
 	reg.Add("soc.symptoms", int64(len(res.Symptoms)))
 	reg.Histogram("soc.run_cycles", runCycleBounds).Observe(int64(res.EndCycle))
-	reg.Trace().Emit("soc", "run", map[string]int64{
-		"launches":  int64(len(sc.Launches)),
-		"events":    int64(len(res.Events)),
-		"cycles":    int64(res.EndCycle),
-		"completed": int64(res.Completed),
-		"wedged":    int64(res.Wedged),
-		"symptoms":  int64(len(res.Symptoms)),
-	})
 }
 
 // runCycleBounds buckets soc.run_cycles: regression tests end within

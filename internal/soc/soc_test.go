@@ -403,97 +403,6 @@ func TestWedgeInsideAtomicStateDeadlocksRun(t *testing.T) {
 	}
 }
 
-func TestCreditsSerializeLink(t *testing.T) {
-	// One credit on the 1->Dir link (carrying ReqE and Ack): at most one
-	// such message may be in flight; the next must wait CreditDelay cycles
-	// past the previous delivery.
-	link := Link{Src: "1", Dst: "Dir"}
-	const delay = 6
-	res, err := Run(ccScenario(4), Config{Seed: 2, Credits: map[Link]int{link: 1}, CreditDelay: delay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("credited run failed: %v", res.Symptoms)
-	}
-	var last uint64
-	first := true
-	for _, ev := range res.Events {
-		if ev.Src != "1" || ev.Dst != "Dir" {
-			continue
-		}
-		if !first && ev.Cycle < last+delay {
-			t.Fatalf("link emission at %d violates credit spacing (prev %d, delay %d)", ev.Cycle, last, delay)
-		}
-		last = ev.Cycle
-		first = false
-	}
-	if first {
-		t.Fatal("no events on the credited link")
-	}
-}
-
-func TestZeroCreditsDeadlockEverything(t *testing.T) {
-	link := Link{Src: "1", Dst: "Dir"}
-	res, err := Run(ccScenario(3), Config{Seed: 2, Credits: map[Link]int{link: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() || res.Completed != 0 {
-		t.Fatalf("zero-credit run should hang everyone: %+v", res)
-	}
-	if len(res.Events) != 0 {
-		t.Errorf("events = %d, want 0 (first message needs the credit)", len(res.Events))
-	}
-}
-
-// A drop bug leaks the consumed credit: with a one-credit link, a single
-// dropped message starves every later instance of the link even though
-// only one instance wedged directly.
-func TestDroppedMessageLeaksCredit(t *testing.T) {
-	link := Link{Src: "Dir", Dst: "1"} // GntE's link
-	drop := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
-		if ev.Msg.Name == "GntE" && ev.Msg.Index == 1 {
-			return Outcome{Drop: true, Bug: 3}
-		}
-		return Outcome{}
-	})
-	res, err := Run(ccScenario(3), Config{
-		Seed: 2, Credits: map[Link]int{link: 1}, Injectors: []Injector{drop},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 0 {
-		t.Errorf("Completed = %d, want 0: the leaked GntE credit starves every grant", res.Completed)
-	}
-	if len(res.Symptoms) != 3 {
-		t.Errorf("symptoms = %d, want 3 hangs", len(res.Symptoms))
-	}
-}
-
-func TestCreditsUnconstrainedLinksUnaffected(t *testing.T) {
-	// Constraining an unused link changes nothing.
-	plain, err := Run(ccScenario(4), Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	constrained, err := Run(ccScenario(4), Config{
-		Seed: 11, Credits: map[Link]int{{Src: "X", Dst: "Y"}: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Events) != len(constrained.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(plain.Events), len(constrained.Events))
-	}
-	for i := range plain.Events {
-		if plain.Events[i] != constrained.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
 func TestWriteTimeline(t *testing.T) {
 	drop := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
 		if ev.Msg.Name == "GntE" && ev.Msg.Index == 2 {
@@ -534,60 +443,6 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "symptoms: none") {
 		t.Errorf("clean timeline:\n%s", sb.String())
-	}
-}
-
-func TestPortsSerializeSourceIP(t *testing.T) {
-	// A single port on IP "1" (emitting ReqE and Ack): consecutive
-	// emissions from "1" must be at least PortDelay apart.
-	const delay = 5
-	res, err := Run(ccScenario(4), Config{
-		Seed:      3,
-		Ports:     map[string]int{"1": 1},
-		PortDelay: delay,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("ported run failed: %v", res.Symptoms)
-	}
-	var last uint64
-	first := true
-	for _, ev := range res.Events {
-		if ev.Src != "1" {
-			continue
-		}
-		if !first && ev.Cycle < last+delay {
-			t.Fatalf("emission from IP 1 at %d violates port spacing (prev %d)", ev.Cycle, last)
-		}
-		last = ev.Cycle
-		first = false
-	}
-	if first {
-		t.Fatal("no emissions from IP 1")
-	}
-}
-
-func TestPortsReleaseEvenOnDrop(t *testing.T) {
-	// Unlike credits, a dropped message does not leak the producer's port:
-	// the other instances still progress.
-	drop := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
-		if ev.Msg.Name == "ReqE" && ev.Msg.Index == 1 {
-			return Outcome{Drop: true}
-		}
-		return Outcome{}
-	})
-	res, err := Run(ccScenario(3), Config{
-		Seed:      3,
-		Ports:     map[string]int{"1": 1},
-		Injectors: []Injector{drop},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 2 {
-		t.Errorf("Completed = %d, want 2 (only the dropped instance wedges)", res.Completed)
 	}
 }
 
