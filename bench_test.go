@@ -21,6 +21,7 @@ import (
 	"tracescale/internal/netlist"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
+	"tracescale/internal/reconstruct"
 	"tracescale/internal/regress"
 	"tracescale/internal/restore"
 	"tracescale/internal/sigsel"
@@ -252,6 +253,29 @@ func BenchmarkTotalPaths(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Exact pair count behind expected reconstruction ambiguity, the
+// campaign's set-scoring cost: T2 scenario 3 (216 states) with 3 of its
+// 12 messages traced. The product and the traced set are built before the
+// timer starts.
+func BenchmarkPairCount(b *testing.B) {
+	s, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := s.Interleaving()
+	if err != nil {
+		b.Fatal(err)
+	}
+	traced := map[string]bool{"dmupeureq": true, "dmusiird": true, "siincu": true}
+	b.Run("t2-scenario3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := reconstruct.PairCount(p, traced); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkSoCSimScenario1(b *testing.B) {

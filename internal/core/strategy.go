@@ -47,8 +47,9 @@ const (
 	// consistent with an average observed trace, breaking exact pair-count
 	// ties by information gain and then universe order. The objective is
 	// not additive — pair counts couple across messages — so selection
-	// re-scores the whole set per candidate; the quadratic pair DP limits
-	// it to products within reconstruct.MaxAmbiguityStates.
+	// re-scores the whole set per candidate; the pair-count DP, whose memo
+	// can reach a cell per pair of states, limits it to products within
+	// reconstruct.MaxAmbiguityStates.
 	Reconstruct
 )
 

@@ -3,16 +3,17 @@ package reconstruct
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"tracescale/internal/flow"
 	"tracescale/internal/interleave"
 )
 
-// MaxAmbiguityStates bounds the pairwise DP: it walks pairs of product
-// states, so its table is quadratic in the state count. The T2 products
-// top out at a few hundred states; past this limit the exact expectation
-// is refused rather than silently approximated.
+// MaxAmbiguityStates bounds PairCount's product: its pair memo holds a
+// cell per pair of states the DP visits, and at worst that is every pair
+// of landing states. The T2 products top out at a few hundred states;
+// past this limit the exact expectation is refused rather than silently
+// approximated.
 const MaxAmbiguityStates = 1024
 
 // CheckAmbiguityStates reports whether a product of n states is within
@@ -36,7 +37,10 @@ func CheckAmbiguityStates(n int) error {
 //
 // The count is exact: a DP over state pairs synchronized on the next
 // traced message, with untraced runs folded into closure counts, so no
-// path enumeration and no floating point.
+// path enumeration and no floating point. Each call adds 1 to
+// reconstruct.pair.counts, and the number of pair and partner-sum memo
+// entries it filled to reconstruct.pair.cells and reconstruct.pair.sums,
+// in the product's registry.
 func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) {
 	n := p.NumStates()
 	if err := CheckAmbiguityStates(n); err != nil {
@@ -49,88 +53,7 @@ func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	// closure[u]: for each (first traced message m, landing state w), the
-	// number of ways to run untraced edges from u and then cross a traced
-	// edge labeled m into w. Grouped by m for the synchronized product.
-	type landing struct {
-		w int
-		c *big.Int
-	}
-	closure := make([]map[flow.IndexedMsg][]landing, n)
-	var closureOf func(u int) map[flow.IndexedMsg][]landing
-	closureOf = func(u int) map[flow.IndexedMsg][]landing {
-		if cl := closure[u]; cl != nil {
-			return cl
-		}
-		acc := make(map[flow.IndexedMsg]map[int]*big.Int)
-		bump := func(m flow.IndexedMsg, w int, c *big.Int) {
-			byW := acc[m]
-			if byW == nil {
-				byW = make(map[int]*big.Int)
-				acc[m] = byW
-			}
-			if got := byW[w]; got != nil {
-				got.Add(got, c)
-			} else {
-				byW[w] = new(big.Int).Set(c)
-			}
-		}
-		one := big.NewInt(1)
-		for _, e := range p.Out(u) {
-			m := p.Msg(e)
-			if traced[m.Name] {
-				bump(m, e.To, one)
-			} else {
-				for cm, landings := range closureOf(e.To) {
-					for _, l := range landings {
-						bump(cm, l.w, l.c)
-					}
-				}
-			}
-		}
-		cl := make(map[flow.IndexedMsg][]landing, len(acc))
-		for m, byW := range acc {
-			ls := make([]landing, 0, len(byW))
-			for w, c := range byW {
-				ls = append(ls, landing{w, c})
-			}
-			sort.Slice(ls, func(a, b int) bool { return ls[a].w < ls[b].w })
-			cl[m] = ls
-		}
-		closure[u] = cl
-		return cl
-	}
-
-	// f[u][v]: ordered pairs of completions from (u, v) with equal
-	// projections — decompose each pair by its shared first traced
-	// message, or by both sides draining untraced to a stop.
-	pair := make(map[[2]int]*big.Int)
-	var f func(u, v int) *big.Int
-	f = func(u, v int) *big.Int {
-		key := [2]int{u, v}
-		if c := pair[key]; c != nil {
-			return c
-		}
-		c := new(big.Int).Mul(stopTail.From(u, 0), stopTail.From(v, 0))
-		pair[key] = c // every recursive step crosses a traced edge on both sides: no re-entrancy
-		term := new(big.Int)
-		for m, lu := range closureOf(u) {
-			lv, ok := closureOf(v)[m]
-			if !ok {
-				continue
-			}
-			for _, a := range lu {
-				for _, b := range lv {
-					term.Mul(a.c, b.c)
-					term.Mul(term, f(a.w, b.w))
-					c.Add(c, term)
-				}
-			}
-		}
-		return c
-	}
-
+	d := newPairDP(p, traced, stopTail)
 	total := new(big.Int)
 	seen := make(map[int]bool, len(p.Init()))
 	inits := make([]int, 0, len(p.Init()))
@@ -142,10 +65,170 @@ func PairCount(p *interleave.Product, traced map[string]bool) (*big.Int, error) 
 	}
 	for _, u := range inits {
 		for _, v := range inits {
-			total.Add(total, f(u, v))
+			total.Add(total, d.f(u, v))
 		}
 	}
+	if reg := p.Obs(); reg != nil {
+		reg.Add("reconstruct.pair.counts", 1)
+		reg.Add("reconstruct.pair.cells", int64(len(d.pair)))
+		reg.Add("reconstruct.pair.sums", int64(len(d.sums)))
+	}
 	return total, nil
+}
+
+// landing is one closure entry of a state u: c ways to run untraced edges
+// from u and then cross a traced edge labeled message msg into state w.
+type landing struct {
+	msg, w int
+	c      *big.Int
+}
+
+// pairDP is PairCount's state. With L_u(m) the landings of u on message m
+// and T(u) = stopTail.From(u, 0), the number of ordered pairs of
+// completions from (u, v) with equal projections is
+//
+//	f(u,v) = T(u)·T(v) + Σ_m Σ_{(w,c)∈L_u(m)} c·G(m,w,v)
+//	G(m,w,v) = Σ_{(w',c')∈L_v(m)} c'·f(w,w')
+//
+// decomposing each pair by its shared first traced message, or by both
+// sides draining untraced to a stop. f is symmetric, so the pair memo is
+// keyed by the unordered pair; G factors the double sum over landing
+// pairs, so a partner sum is formed once however many states land on
+// (m, w). Every recursive step crosses a traced edge on both sides, so
+// neither memo is re-entered for a cell still being computed.
+type pairDP struct {
+	p        *interleave.Product
+	n        uint64
+	stopTail *interleave.Counter
+	// msgOf[i][k] is the dense ID of instance i's flow edge k's indexed
+	// message; tracedMsg is indexed by ID.
+	msgOf     [][]int
+	tracedMsg []bool
+	// closures[u] lists u's landings sorted by (msg, w) with duplicates
+	// merged; built[u] marks it computed (an empty closure is nil).
+	closures [][]landing
+	built    []bool
+	pair     map[uint64]*big.Int // f, keyed by min(u,v)·n + max(u,v)
+	sums     map[uint64]*big.Int // G, keyed by (m·n + w)·n + v
+	one      *big.Int
+	tmp      big.Int
+}
+
+// newPairDP interns the product's indexed messages to dense IDs, once per
+// instance and flow edge, so the DP hashes no message per product edge.
+func newPairDP(p *interleave.Product, traced map[string]bool, stopTail *interleave.Counter) *pairDP {
+	n := p.NumStates()
+	d := &pairDP{
+		p:        p,
+		n:        uint64(n),
+		stopTail: stopTail,
+		msgOf:    make([][]int, len(p.Instances())),
+		closures: make([][]landing, n),
+		built:    make([]bool, n),
+		pair:     make(map[uint64]*big.Int),
+		sums:     make(map[uint64]*big.Int),
+		one:      big.NewInt(1),
+	}
+	ids := make(map[flow.IndexedMsg]int)
+	for i, in := range p.Instances() {
+		edges := in.Flow.Edges()
+		d.msgOf[i] = make([]int, len(edges))
+		for k, e := range edges {
+			m := in.Msg(e.Msg)
+			id, ok := ids[m]
+			if !ok {
+				id = len(ids)
+				ids[m] = id
+				d.tracedMsg = append(d.tracedMsg, traced[m.Name])
+			}
+			d.msgOf[i][k] = id
+		}
+	}
+	return d
+}
+
+// closure returns u's landings: a traced out-edge lands directly, an
+// untraced one contributes its target's closure.
+func (d *pairDP) closure(u int) []landing {
+	if d.built[u] {
+		return d.closures[u]
+	}
+	var ls []landing
+	for _, e := range d.p.Out(u) {
+		m := d.msgOf[e.Inst][e.FlowEdge]
+		if d.tracedMsg[m] {
+			ls = append(ls, landing{m, e.To, d.one})
+		} else {
+			ls = append(ls, d.closure(e.To)...)
+		}
+	}
+	slices.SortFunc(ls, func(a, b landing) int {
+		if a.msg != b.msg {
+			return a.msg - b.msg
+		}
+		return a.w - b.w
+	})
+	merged := ls[:0]
+	for _, l := range ls {
+		if k := len(merged) - 1; k >= 0 && merged[k].msg == l.msg && merged[k].w == l.w {
+			// Counts are shared with the closures they came from: sum
+			// into a fresh value.
+			merged[k].c = new(big.Int).Add(merged[k].c, l.c)
+			continue
+		}
+		merged = append(merged, l)
+	}
+	d.closures[u], d.built[u] = merged, true
+	return merged
+}
+
+// f merge-joins the two closures on message ID.
+func (d *pairDP) f(u, v int) *big.Int {
+	if u > v {
+		u, v = v, u
+	}
+	key := uint64(u)*d.n + uint64(v)
+	if c, ok := d.pair[key]; ok {
+		return c
+	}
+	c := new(big.Int).Mul(d.stopTail.From(u, 0), d.stopTail.From(v, 0))
+	lu, lv := d.closure(u), d.closure(v)
+	for i, j := 0, 0; i < len(lu) && j < len(lv); {
+		m := lu[i].msg
+		switch {
+		case m < lv[j].msg:
+			i++
+		case m > lv[j].msg:
+			j++
+		default:
+			je := j + 1
+			for je < len(lv) && lv[je].msg == m {
+				je++
+			}
+			for ; i < len(lu) && lu[i].msg == m; i++ {
+				g := d.g(m, lu[i].w, v, lv[j:je])
+				c.Add(c, d.tmp.Mul(lu[i].c, g))
+			}
+			j = je
+		}
+	}
+	d.pair[key] = c
+	return c
+}
+
+// g is G(m, w, v), with lv = L_v(m).
+func (d *pairDP) g(m, w, v int, lv []landing) *big.Int {
+	key := (uint64(m)*d.n+uint64(w))*d.n + uint64(v)
+	if s, ok := d.sums[key]; ok {
+		return s
+	}
+	s := new(big.Int)
+	for _, b := range lv {
+		f := d.f(w, b.w)
+		s.Add(s, d.tmp.Mul(b.c, f))
+	}
+	d.sums[key] = s
+	return s
 }
 
 // ExpectedAmbiguity is PairCount over TotalPaths as a float64: the mean
