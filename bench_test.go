@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tracescale"
+	"tracescale/internal/campaign"
 	"tracescale/internal/circuits"
 	"tracescale/internal/core"
 	"tracescale/internal/exp"
@@ -284,6 +285,62 @@ func BenchmarkSoCSimScenario1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := soc.Run(sc, soc.Config{Seed: benchSeed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// One campaign over T2 scenario 1's cells (every catalog bug whose target
+// the scenario carries, 1 rep, 1 worker), scoring the mi and widest sets:
+// golden and buggy simulation, the run diff and one debugging session per
+// set and symptom point. The sets are selected before the timer starts.
+func BenchmarkCampaignScenario1(b *testing.B) {
+	s, err := opensparc.ScenarioByID(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	causes, err := opensparc.Causes(s.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	universe := s.Universe()
+	var bugs []opensparc.Bug
+	for _, bug := range opensparc.Bugs() {
+		for _, m := range universe {
+			if m.Name == bug.Target {
+				bugs = append(bugs, bug)
+				break
+			}
+		}
+	}
+	ses, err := pipeline.For(s.Instances())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mi, err := ses.Select(core.Config{BufferWidth: exp.BufferWidth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	widest, err := core.WidestFirstBaseline(ses.Evaluator(), exp.BufferWidth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := campaign.Spec{Name: "t2", Seed: benchSeed, Reps: 1, Workers: 1,
+		Scenarios: []campaign.Scenario{{
+			Name:     "scenario-1",
+			Launches: s.Launches(exp.InstancesPerFlow, 24),
+			Universe: universe,
+			Flows:    s.Flows(),
+			Causes:   causes,
+			Bugs:     bugs,
+			Sets: []campaign.MessageSet{
+				{Name: "mi", Traced: mi.TracedNames()},
+				{Name: "widest", Traced: widest.Messages},
+			},
+		}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := campaign.Run(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,9 +47,10 @@ var errUsage = fmt.Errorf("usage")
 // the end-to-end Fig. 5 pipeline they sit inside, session analysis plus
 // selection at growing instance counts and universe sizes, corpus mining,
 // the product's execution count, the ambiguity pair count, the SoC
-// simulator on one T2 scenario, and the Table-3 case studies (simulation,
-// selection and debugging).
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$|BenchmarkTotalPaths$|BenchmarkPairCount$|BenchmarkSoCSimScenario1$|BenchmarkTable3$"
+// simulator on one T2 scenario, one T2 scenario's fault-injection campaign
+// (simulation, run diff and debugging), and the Table-3 case studies
+// (simulation, selection and debugging).
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$|BenchmarkTotalPaths$|BenchmarkPairCount$|BenchmarkSoCSimScenario1$|BenchmarkCampaignScenario1$|BenchmarkTable3$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

@@ -9,7 +9,7 @@
 //	t2campaign -sets mi,widest      # score a subset of the message sets
 //	t2campaign -json report.json    # write the full deterministic report
 //	t2campaign -workers 8           # shard runs (report is identical anyway)
-//	t2campaign -metrics-json m.json # dump campaign.* observability counters
+//	t2campaign -metrics-json m.json # dump the run's observability counters
 //
 // Message sets: mi (the paper's Steps 1-3 selection), widest (widest-first
 // structural baseline), pagerank (PRNet-style message-dependency PageRank),
@@ -79,7 +79,7 @@ func run(args []string, w io.Writer) error {
 		jsonPath = fs.String("json", "", "write the full deterministic JSON report to this file")
 		timeout  = fs.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
 		retries  = fs.Int("retries", 1, "retries per timed-out run")
-		metrics  = fs.String("metrics-json", "", "write the campaign.* observability snapshot as JSON to this file")
+		metrics  = fs.String("metrics-json", "", "write the observability snapshot (campaign.*, and the set building's pipeline.*, core.*, interleave.*, reconstruct.*) as JSON to this file")
 		mined    = fs.Bool("mined", false, "also score every set selected under specs mined from golden traces (mined-vs-truth)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -94,8 +94,10 @@ func run(args []string, w io.Writer) error {
 		ids = []int{*scenario}
 	}
 	setNames := strings.Split(*sets, ",")
+	// The sessions the sets are selected in record into the same registry
+	// as the campaign, so the snapshot covers set building too.
 	reg := obs.NewRegistry()
-	spec, err := buildSpec(ids, setNames, *seed, *mined)
+	spec, err := buildSpec(pipeline.NewCacheObs(reg, 0), ids, setNames, *seed, *mined)
 	if err != nil {
 		return err
 	}
@@ -127,7 +129,7 @@ func run(args []string, w io.Writer) error {
 // message set per requested selector. With mined set, every selector is
 // additionally run under flow specs mined from golden traces of the
 // scenario, contributing a "mined:"-prefixed set scored on the same runs.
-func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool) (campaign.Spec, error) {
+func buildSpec(cache *pipeline.Cache, scenarioIDs []int, setNames []string, seed int64, mined bool) (campaign.Spec, error) {
 	spec := campaign.Spec{Name: "t2", Seed: seed, MaxCycles: 0}
 	for _, id := range scenarioIDs {
 		s, err := opensparc.ScenarioByID(id)
@@ -149,7 +151,7 @@ func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool) (ca
 				bugs = append(bugs, b)
 			}
 		}
-		ses, err := pipeline.For(s.Instances())
+		ses, err := cache.Session(s.Instances())
 		if err != nil {
 			return spec, err
 		}
@@ -171,7 +173,7 @@ func buildSpec(scenarioIDs []int, setNames []string, seed int64, mined bool) (ca
 			for i, f := range flows {
 				insts[i] = flow.Instance{Flow: f, Index: 1}
 			}
-			minedSes, err = pipeline.For(insts)
+			minedSes, err = cache.Session(insts)
 			if err != nil {
 				return spec, fmt.Errorf("scenario %d: mined session: %w", s.ID, err)
 			}

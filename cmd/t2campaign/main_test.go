@@ -75,6 +75,18 @@ func TestMetricsJSON(t *testing.T) {
 	if snap["campaign.runs.started"] == 0 || snap["campaign.runs.completed"] == 0 {
 		t.Errorf("campaign counters missing from snapshot: %v", snap)
 	}
+	// Set building (selection and the ambiguity pair count) records into
+	// the same registry.
+	if snap["reconstruct.pair.counts"] == 0 {
+		t.Errorf("reconstruct.pair.counts missing from snapshot: %v", snap)
+	}
+	interleave := false
+	for k := range snap {
+		interleave = interleave || strings.HasPrefix(k, "interleave.")
+	}
+	if !interleave {
+		t.Errorf("no interleave.* key in snapshot: %v", snap)
+	}
 }
 
 // renderReport runs the full default grid and returns the JSON report

@@ -129,6 +129,19 @@ type Spec struct {
 	// retried, per-bug symptom counters, wall-time histograms). Nil
 	// disables instrumentation (the obs contract).
 	Obs *obs.Registry
+
+	// scorers holds, per scenario and set, what Run compiles before the
+	// grid; only Run's private copy of the Spec carries it.
+	scorers [][]scorer
+}
+
+// scorer is one (scenario, message set)'s debugging context, compiled
+// once per campaign: the traced set and the debugger plan, or the error
+// compiling it, which every symptom run of the set reports.
+type scorer struct {
+	traced map[string]bool
+	plan   *debugger.Plan
+	err    error
 }
 
 // Run outcomes.
@@ -276,6 +289,23 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	points := s.grid()
+	s.scorers = make([][]scorer, len(s.Scenarios))
+	for si := range s.Scenarios {
+		scn := &s.Scenarios[si]
+		for _, set := range scn.Sets {
+			sc := scorer{traced: make(map[string]bool, len(set.Traced))}
+			for _, n := range set.Traced {
+				sc.traced[n] = true
+			}
+			sc.plan, sc.err = debugger.Compile(debugger.Config{
+				Universe: scn.Universe,
+				Flows:    scn.Flows,
+				Traced:   set.Traced,
+				Causes:   scn.Causes,
+			})
+			s.scorers[si] = append(s.scorers[si], sc)
+		}
+	}
 	reg := s.Obs
 	reg.Gauge("campaign.workers").Set(int64(s.Workers))
 	reg.Add("campaign.grid_points", int64(len(points)))
@@ -426,7 +456,8 @@ func (s *Spec) baseRecord(idx int, pt point) RunRecord {
 }
 
 // execute is one full run: golden and buggy simulations at the derived
-// seed, then one observation + debugging session per message set.
+// seed, one diff of the pair, then one observation + debugging session per
+// message set.
 func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunRecord {
 	rec := s.baseRecord(idx, pt)
 	sc := soc.Scenario{Name: scn.Name, Launches: scn.Launches}
@@ -453,8 +484,9 @@ func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunReco
 	} else {
 		rec.Outcome = OutcomePass
 	}
-	for _, set := range scn.Sets {
-		score, err := scoreSet(scn, set, bug, golden, buggy, rec.Seed)
+	diff := debugger.NewDiff(golden, buggy)
+	for k, set := range scn.Sets {
+		score, err := scoreSet(set.Name, s.scorers[pt.si][k], bug, diff, rec.Seed)
 		if err != nil {
 			rec.Outcome = OutcomeError
 			rec.Detail = fmt.Sprintf("set %q: %v", set.Name, err)
@@ -475,23 +507,16 @@ func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunReco
 // 1-based index of the last investigation step that still eliminated a
 // cause (how deep the narration went before the cause set stopped
 // shrinking).
-func scoreSet(scn *Scenario, set MessageSet, bug inject.Bug, golden, buggy *soc.Result, seed int64) (RunScore, error) {
-	traced := make(map[string]bool, len(set.Traced))
-	for _, n := range set.Traced {
-		traced[n] = true
-	}
-	o := debugger.Observe(golden, buggy, traced)
-	score := RunScore{Set: set.Name, Detected: len(o.AffectedMessages()) > 0}
+func scoreSet(name string, sc scorer, bug inject.Bug, diff *debugger.Diff, seed int64) (RunScore, error) {
+	o := diff.Observation(sc.traced)
+	score := RunScore{Set: name, Detected: len(o.AffectedMessages()) > 0}
 	if len(o.Symptoms) == 0 {
 		return score, nil
 	}
-	rep, err := debugger.Debug(o, debugger.Config{
-		Universe: scn.Universe,
-		Flows:    scn.Flows,
-		Traced:   set.Traced,
-		Causes:   scn.Causes,
-		Seed:     seed,
-	})
+	if sc.err != nil {
+		return score, sc.err
+	}
+	rep, err := sc.plan.Debug(o, seed)
 	if err != nil {
 		return score, err
 	}

@@ -134,174 +134,293 @@ type Config struct {
 	Seed int64
 }
 
-// Debug runs a debugging session over an observation, reproducing the
-// paper's procedure: start with the traced message in which the bug
-// symptom is observed and backtrack through flow-adjacent traced messages;
-// each investigation eliminates contradicted causes and exonerates
-// well-behaved IP pairs.
-func Debug(obs Observation, cfg Config) (*Report, error) {
+// Plan is a debugging session compiled from its Config minus the Seed:
+// everything Debug derives from the scenario and the traced set alone.
+// Traced names are sorted into dense IDs, so ascending ID is the sorted
+// order the pseudo-random pick draws from. A Plan is read-only once
+// compiled; one serves every run of a campaign that traces its set.
+type Plan struct {
+	traced []string         // Config.Traced as given: the order errors follow
+	names  []string         // distinct traced names, sorted; index = ID
+	ids    map[string]int32 // traced name → ID
+	msgs   []flow.Message   // per ID: the universe's message
+	// adj lists each traced ID's flow-adjacent traced IDs.
+	adj [][]int32
+	// pair is each traced ID's IP pair, numbered among the legal pairs
+	// (every pair with scenario traffic); onPair counts the traced
+	// messages on each pair, and tracedPairs the pairs that carry any.
+	pair        []int32
+	onPair      []int
+	tracedPairs int
+	causes      []Cause
+	// checks lists, per traced ID, the causes whose signatures name it,
+	// in catalog order.
+	checks [][]check
+}
+
+// check is one cause's constraint on one traced message; AnyStatus stands
+// for a signature that does not name it.
+type check struct {
+	cause           int32 // position in the catalog
+	focused, global Pred
+}
+
+// Compile validates cfg and compiles its plan; cfg.Seed is ignored.
+func Compile(cfg Config) (*Plan, error) {
+	p, _, err := compile(cfg)
+	return p, err
+}
+
+// compile also returns how many leading traced names passed validation:
+// Debug reports a traced name missing from its observation before any
+// error found after it.
+func compile(cfg Config) (*Plan, int, error) {
 	if len(cfg.Traced) == 0 {
-		return nil, fmt.Errorf("debugger: no traced messages")
+		return nil, 0, fmt.Errorf("debugger: no traced messages")
 	}
 	if len(cfg.Causes) == 0 {
-		return nil, fmt.Errorf("debugger: no candidate causes")
+		return nil, 0, fmt.Errorf("debugger: no candidate causes")
 	}
 	byName := make(map[string]flow.Message, len(cfg.Universe))
 	for _, m := range cfg.Universe {
 		byName[m.Name] = m
 	}
-	tracedSet := make(map[string]bool, len(cfg.Traced))
-	for _, n := range cfg.Traced {
+	p := &Plan{traced: append([]string(nil), cfg.Traced...), ids: make(map[string]int32, len(cfg.Traced))}
+	for i, n := range cfg.Traced {
 		if _, ok := byName[n]; !ok {
-			return nil, fmt.Errorf("debugger: traced message %q not in universe", n)
+			return nil, i, fmt.Errorf("debugger: traced message %q not in universe", n)
 		}
-		if _, ok := obs.Global[n]; !ok {
-			return nil, fmt.Errorf("debugger: traced message %q missing from observation", n)
+		if _, dup := p.ids[n]; !dup {
+			p.ids[n] = 0
+			p.names = append(p.names, n)
 		}
-		tracedSet[n] = true
+	}
+	sort.Strings(p.names)
+	p.msgs = make([]flow.Message, len(p.names))
+	for id, n := range p.names {
+		p.ids[n] = int32(id)
+		p.msgs[id] = byName[n]
 	}
 
 	// Legal IP pairs: every ordered (src, dst) with scenario traffic.
-	type pair struct{ src, dst string }
-	legal := make(map[pair]bool)
+	type ipPair struct{ src, dst string }
+	pairIDs := make(map[ipPair]int32, len(cfg.Universe))
 	for _, m := range cfg.Universe {
-		legal[pair{m.Src, m.Dst}] = true
+		pr := ipPair{m.Src, m.Dst}
+		if _, ok := pairIDs[pr]; !ok {
+			pairIDs[pr] = int32(len(pairIDs))
+		}
 	}
-	candidates := make(map[pair]bool, len(legal))
-	for p := range legal {
-		candidates[p] = true
+	p.pair = make([]int32, len(p.names))
+	p.onPair = make([]int, len(pairIDs))
+	for id, m := range p.msgs {
+		pr := pairIDs[ipPair{m.Src, m.Dst}]
+		p.pair[id] = pr
+		if p.onPair[pr] == 0 {
+			p.tracedPairs++
+		}
+		p.onPair[pr]++
 	}
 
-	// Flow adjacency between message names: two messages are neighbors if
-	// some flow has transitions carrying them on adjacent edges (sharing a
+	// Flow adjacency between traced messages: two are neighbors if some
+	// flow has transitions carrying them on adjacent edges (sharing a
 	// state). The investigation frontier expands along this graph.
-	adj := make(map[string]map[string]bool)
-	link := func(a, b string) {
-		if a == b {
-			return
-		}
-		if adj[a] == nil {
-			adj[a] = make(map[string]bool)
-		}
-		if adj[b] == nil {
-			adj[b] = make(map[string]bool)
-		}
-		adj[a][b] = true
-		adj[b][a] = true
-	}
+	n := len(p.names)
+	linked := make([]bool, n*n)
 	for _, f := range cfg.Flows {
-		for _, e1 := range f.Edges() {
-			for _, e2 := range f.Edges() {
-				if e1.To == e2.From {
-					link(f.Message(e1.Msg).Name, f.Message(e2.Msg).Name)
+		edges := f.Edges()
+		for _, e1 := range edges {
+			a, ok := p.ids[f.Message(e1.Msg).Name]
+			if !ok {
+				continue
+			}
+			for _, out := range f.Out(e1.To) {
+				b, ok := p.ids[f.Message(edges[out].Msg).Name]
+				if ok && a != b {
+					linked[int(a)*n+int(b)] = true
+					linked[int(b)*n+int(a)] = true
 				}
 			}
 		}
 	}
-
-	// Alive causes.
-	alive := make(map[int]*Cause, len(cfg.Causes))
-	order := make([]int, 0, len(cfg.Causes))
-	for i := range cfg.Causes {
-		c := &cfg.Causes[i]
-		if _, dup := alive[c.ID]; dup {
-			return nil, fmt.Errorf("debugger: duplicate cause id %d", c.ID)
+	p.adj = make([][]int32, n)
+	for a := range p.adj {
+		for b := 0; b < n; b++ {
+			if linked[a*n+b] {
+				p.adj[a] = append(p.adj[a], int32(b))
+			}
 		}
-		alive[c.ID] = c
-		order = append(order, c.ID)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{TotalCauses: len(cfg.Causes), LegalPairs: len(legal)}
+	// Per-cause signature tables, indexed by traced ID.
+	p.causes = append([]Cause(nil), cfg.Causes...)
+	p.checks = make([][]check, n)
+	seen := make(map[int]bool, len(cfg.Causes))
+	for ci, c := range cfg.Causes {
+		if seen[c.ID] {
+			return nil, len(cfg.Traced), fmt.Errorf("debugger: duplicate cause id %d", c.ID)
+		}
+		seen[c.ID] = true
+		at := func(name string) *check {
+			id, ok := p.ids[name]
+			if !ok {
+				return nil
+			}
+			row := p.checks[id]
+			if len(row) == 0 || row[len(row)-1].cause != int32(ci) {
+				row = append(row, check{cause: int32(ci), focused: AnyStatus, global: AnyStatus})
+				p.checks[id] = row
+			}
+			return &row[len(row)-1]
+		}
+		for name, pred := range c.Signature {
+			if ch := at(name); ch != nil {
+				ch.focused = pred
+			}
+		}
+		for name, pred := range c.GlobalSignature {
+			if ch := at(name); ch != nil {
+				ch.global = pred
+			}
+		}
+	}
+	return p, len(cfg.Traced), nil
+}
+
+// missingFrom returns the error for the first name the observation does
+// not classify, or nil.
+func missingFrom(obs Observation, names []string) error {
+	for _, n := range names {
+		if _, ok := obs.Global[n]; !ok {
+			return fmt.Errorf("debugger: traced message %q missing from observation", n)
+		}
+	}
+	return nil
+}
+
+// Debug runs a debugging session over an observation, reproducing the
+// paper's procedure: start with the traced message in which the bug
+// symptom is observed and backtrack through flow-adjacent traced messages;
+// each investigation eliminates contradicted causes and exonerates
+// well-behaved IP pairs. It compiles cfg's Plan and runs it at cfg.Seed.
+func Debug(obs Observation, cfg Config) (*Report, error) {
+	p, checked, err := compile(cfg)
+	if err != nil {
+		if missing := missingFrom(obs, cfg.Traced[:checked]); missing != nil {
+			return nil, missing
+		}
+		return nil, err
+	}
+	return p.Debug(obs, cfg.Seed)
+}
+
+// Debug runs the plan's session over an observation; seed drives the
+// pseudo-random choice among equally attractive next messages (§5.6: "the
+// choice of which traced message to investigate is pseudo-random and
+// guided by the participating flows"). The observation must classify
+// every traced message.
+func (p *Plan) Debug(obs Observation, seed int64) (*Report, error) {
+	if err := missingFrom(obs, p.traced); err != nil {
+		return nil, err
+	}
+	n := len(p.names)
+	rng := rand.New(rand.NewSource(seed))
+	rep := &Report{
+		Steps:       make([]Step, 0, n),
+		TotalCauses: len(p.causes),
+		LegalPairs:  len(p.onPair),
+		CauseCurve:  make([]int, 0, n),
+		PairCurve:   make([]int, 0, n),
+	}
+	alive := make([]bool, len(p.causes))
+	for i := range alive {
+		alive[i] = true
+	}
+	nAlive, candidates := len(p.causes), len(p.onPair)
 
 	// Investigation order: symptom message first, then flow-adjacent
 	// traced messages, then anything left, pseudo-randomly among peers.
-	investigated := make(map[string]bool)
-	frontier := make(map[string]bool)
-	if len(obs.Symptoms) > 0 && tracedSet[obs.Symptoms[0].Msg.Name] {
-		frontier[obs.Symptoms[0].Msg.Name] = true
+	investigated := make([]bool, n)
+	frontier := make([]bool, n)
+	if len(obs.Symptoms) > 0 {
+		if id, ok := p.ids[obs.Symptoms[0].Msg.Name]; ok {
+			frontier[id] = true
+		}
 	}
-	pickFrom := func(set map[string]bool) string {
-		var names []string
-		for n := range set {
-			if !investigated[n] {
-				names = append(names, n)
+	// pick draws uniformly among the uninvestigated IDs in set (every
+	// traced ID when set is nil), or returns -1 when there are none.
+	pick := func(set []bool) int {
+		open := func(id int) bool { return !investigated[id] && (set == nil || set[id]) }
+		k := 0
+		for id := range n {
+			if open(id) {
+				k++
 			}
 		}
-		if len(names) == 0 {
-			return ""
+		if k == 0 {
+			return -1
 		}
-		sort.Strings(names)
-		return names[rng.Intn(len(names))]
+		k = rng.Intn(k)
+		for id := range n {
+			if open(id) {
+				if k == 0 {
+					return id
+				}
+				k--
+			}
+		}
+		return -1 // unreachable: k is below the count of open IDs
 	}
 	// A pair is exonerated only once every traced message crossing it has
 	// been investigated and found Normal; one abnormal message keeps the
 	// pair suspect forever.
-	tracedOnPair := make(map[pair]int)
-	for n := range tracedSet {
-		m := byName[n]
-		tracedOnPair[pair{m.Src, m.Dst}]++
-	}
-	normalOnPair := make(map[pair]int)
-	taintedPair := make(map[pair]bool)
-	pairsSeen := make(map[pair]bool)
-	for len(investigated) < len(tracedSet) {
-		next := pickFrom(frontier)
-		if next == "" {
-			next = pickFrom(tracedSet)
+	normalOnPair := make([]int, len(p.onPair))
+	tainted := make([]bool, len(p.onPair))
+	for range n {
+		next := pick(frontier)
+		if next < 0 {
+			next = pick(nil)
 		}
 		investigated[next] = true
-		delete(frontier, next)
-		for n := range adj[next] {
-			if tracedSet[n] && !investigated[n] {
-				frontier[n] = true
+		frontier[next] = false
+		for _, b := range p.adj[next] {
+			if !investigated[b] {
+				frontier[b] = true
 			}
 		}
 
-		m := byName[next]
-		global, focused := obs.Global[next], obs.Focused[next]
-		step := Step{Msg: next, Global: global, Focused: focused, Src: m.Src, Dst: m.Dst}
-		for _, id := range order {
-			c, ok := alive[id]
-			if !ok {
-				continue
-			}
-			contradicted := false
-			if p, has := c.Signature[next]; has && !p.Matches(focused) {
-				contradicted = true
-			}
-			if p, has := c.GlobalSignature[next]; has && !p.Matches(global) {
-				contradicted = true
-			}
-			if contradicted {
-				step.Eliminated = append(step.Eliminated, id)
-				delete(alive, id)
+		m, name := p.msgs[next], p.names[next]
+		step := Step{Msg: name, Global: obs.Global[name], Focused: obs.Focused[name], Src: m.Src, Dst: m.Dst}
+		for _, ch := range p.checks[next] {
+			if alive[ch.cause] && (!ch.focused.Matches(step.Focused) || !ch.global.Matches(step.Global)) {
+				step.Eliminated = append(step.Eliminated, p.causes[ch.cause].ID)
+				alive[ch.cause] = false
+				nAlive--
 			}
 		}
-		pr := pair{m.Src, m.Dst}
-		pairsSeen[pr] = true
-		if global == Normal {
+		pr := p.pair[next]
+		if step.Global == Normal {
 			normalOnPair[pr]++
 		} else {
-			taintedPair[pr] = true
+			tainted[pr] = true
 		}
-		if !taintedPair[pr] && normalOnPair[pr] == tracedOnPair[pr] && candidates[pr] {
+		if !tainted[pr] && normalOnPair[pr] == p.onPair[pr] {
 			step.Exonerated = true
-			delete(candidates, pr)
+			candidates--
 		}
-		rep.EntriesInvestigated += obs.Entries[next]
+		rep.EntriesInvestigated += obs.Entries[name]
 		rep.Steps = append(rep.Steps, step)
-		rep.CauseCurve = append(rep.CauseCurve, len(alive))
-		rep.PairCurve = append(rep.PairCurve, len(candidates))
+		rep.CauseCurve = append(rep.CauseCurve, nAlive)
+		rep.PairCurve = append(rep.PairCurve, candidates)
 	}
 
-	for _, id := range order {
-		if c, ok := alive[id]; ok {
-			rep.Plausible = append(rep.Plausible, *c)
+	for i, c := range p.causes {
+		if alive[i] {
+			rep.Plausible = append(rep.Plausible, c)
 		}
 	}
 	rep.PrunedFraction = float64(rep.TotalCauses-len(rep.Plausible)) / float64(rep.TotalCauses)
-	rep.CandidatePairs = len(candidates)
-	rep.PairsInvestigated = len(pairsSeen)
+	rep.CandidatePairs = candidates
+	rep.PairsInvestigated = p.tracedPairs
 	return rep, nil
 }

@@ -1,6 +1,15 @@
 package debugger
 
-import "tracescale/internal/tbuf"
+import (
+	"tracescale/internal/flow"
+	"tracescale/internal/tbuf"
+)
+
+// occKey is one occurrence of an indexed message.
+type occKey struct {
+	msg        flow.IndexedMsg
+	occurrence int
+}
 
 // ObserveEntries builds an Observation from trace-buffer contents alone —
 // the genuinely post-silicon path, where the validator has a reference
@@ -13,17 +22,6 @@ import "tracescale/internal/tbuf"
 // flag corruption only if the corruption hits the captured window, which
 // is exactly the observability a real packed buffer has.
 func ObserveEntries(golden, buggy []tbuf.Entry, traced map[string]bool, focusIndex int) Observation {
-	obs := Observation{
-		Global:     make(map[string]Status, len(traced)),
-		Focused:    make(map[string]Status, len(traced)),
-		FocusIndex: focusIndex,
-		Entries:    make(map[string]int, len(traced)),
-	}
-	type counts struct {
-		golden, buggy               int
-		goldenFocused, buggyFocused int
-		corrupt, corruptFocused     bool
-	}
 	byName := make(map[string]*counts, len(traced))
 	for name := range traced {
 		byName[name] = &counts{}
@@ -33,7 +31,7 @@ func ObserveEntries(golden, buggy []tbuf.Entry, traced map[string]bool, focusInd
 	// buffer entry of i:msg in the buggy trace is compared against the
 	// k-th in the golden trace.
 	goldData := make(map[occKey]uint64)
-	goldSeq := make(map[string]int)
+	goldSeq := make(map[flow.IndexedMsg]int)
 	for _, e := range golden {
 		c, ok := byName[e.Msg.Name]
 		if !ok {
@@ -43,11 +41,10 @@ func ObserveEntries(golden, buggy []tbuf.Entry, traced map[string]bool, focusInd
 		if e.Msg.Index == focusIndex {
 			c.goldenFocused++
 		}
-		k := e.Msg.String()
-		goldData[occKey{e.Msg.Name, e.Msg.Index, goldSeq[k]}] = e.Data
-		goldSeq[k]++
+		goldData[occKey{e.Msg, goldSeq[e.Msg]}] = e.Data
+		goldSeq[e.Msg]++
 	}
-	buggySeq := make(map[string]int)
+	buggySeq := make(map[flow.IndexedMsg]int)
 	for _, e := range buggy {
 		c, ok := byName[e.Msg.Name]
 		if !ok {
@@ -58,34 +55,18 @@ func ObserveEntries(golden, buggy []tbuf.Entry, traced map[string]bool, focusInd
 		if focused {
 			c.buggyFocused++
 		}
-		k := e.Msg.String()
-		if want, ok := goldData[occKey{e.Msg.Name, e.Msg.Index, buggySeq[k]}]; ok && want != e.Data {
+		if want, ok := goldData[occKey{e.Msg, buggySeq[e.Msg]}]; ok && want != e.Data {
 			c.corrupt = true
 			if focused {
 				c.corruptFocused = true
 			}
 		}
-		buggySeq[k]++
+		buggySeq[e.Msg]++
 	}
 
-	classify := func(corrupt bool, buggy, golden int) Status {
-		switch {
-		case corrupt:
-			return Corrupt
-		case buggy == 0 && golden > 0:
-			return Missing
-		case buggy < golden:
-			return Reduced
-		case buggy > golden:
-			return Extra
-		default:
-			return Normal
-		}
-	}
+	obs := newObservation(len(traced), focusIndex, nil)
 	for name, c := range byName {
-		obs.Entries[name] = c.buggy
-		obs.Global[name] = classify(c.corrupt, c.buggy, c.golden)
-		obs.Focused[name] = classify(c.corruptFocused, c.buggyFocused, c.goldenFocused)
+		obs.record(name, *c)
 	}
 	return obs
 }

@@ -4,6 +4,13 @@
 // investigates traced messages one at a time — starting at the symptom and
 // guided by the participating flows — progressively eliminating candidate
 // IP pairs and candidate architecture-level root causes.
+//
+// Both halves split into what is shared and what is not. A Diff compares
+// a golden/buggy pair once over every message and projects onto any
+// traced set; a Plan compiles what a session needs from the scenario and
+// the traced set alone, and runs at any seed. Observe and Debug make one
+// of each per call; a campaign makes one Diff per run pair and one Plan
+// per (scenario, set).
 package debugger
 
 import (
@@ -72,87 +79,174 @@ type Observation struct {
 	Entries map[string]int
 }
 
-type occKey struct {
-	name       string
-	index      int
-	occurrence int
+// counts is one message name's tally over a golden/buggy pair: delivered
+// occurrences in each run, overall and at the focus index, and whether a
+// payload differed.
+type counts struct {
+	golden, buggy               int
+	goldenFocused, buggyFocused int
+	corrupt, corruptFocused     bool
 }
 
-// Observe diffs a buggy run against the golden run over the traced message
-// set. Only delivered events are visible (the monitor cannot see dropped
-// messages). Payload comparison is occurrence-exact: the data generator is
-// a pure function of (message, index, occurrence), so any difference is
-// bug-induced. The focused view is taken at the first symptom's index.
-func Observe(golden, buggy *soc.Result, traced map[string]bool) Observation {
-	obs := Observation{
-		Global:     make(map[string]Status, len(traced)),
-		Focused:    make(map[string]Status, len(traced)),
-		FocusIndex: -1,
-		Symptoms:   buggy.Symptoms,
-		Entries:    make(map[string]int, len(traced)),
+func classify(corrupt bool, buggy, golden int) Status {
+	switch {
+	case corrupt:
+		return Corrupt
+	case buggy == 0 && golden > 0:
+		return Missing
+	case buggy < golden:
+		return Reduced
+	case buggy > golden:
+		return Extra
+	default:
+		return Normal
 	}
-	if len(buggy.Symptoms) > 0 {
-		obs.FocusIndex = buggy.Symptoms[0].Index
-	}
+}
 
-	type counts struct {
-		golden, buggy               int
-		goldenFocused, buggyFocused int
-		corrupt, corruptFocused     bool
+// newObservation allocates an Observation's maps for n traced messages.
+func newObservation(n, focusIndex int, symptoms []soc.Symptom) Observation {
+	return Observation{
+		Global:     make(map[string]Status, n),
+		Focused:    make(map[string]Status, n),
+		FocusIndex: focusIndex,
+		Symptoms:   symptoms,
+		Entries:    make(map[string]int, n),
 	}
-	byName := make(map[string]*counts, len(traced))
-	for name := range traced {
-		byName[name] = &counts{}
+}
+
+// record classifies one traced message from its tally.
+func (o Observation) record(name string, c counts) {
+	o.Entries[name] = c.buggy
+	o.Global[name] = classify(c.corrupt, c.buggy, c.golden)
+	o.Focused[name] = classify(c.corruptFocused, c.buggyFocused, c.goldenFocused)
+}
+
+// Diff is a buggy run compared against its golden run once, over every
+// message. Observation projects it onto a traced set, so scoring several
+// traced sets against one run pair diffs the pair once.
+type Diff struct {
+	focus    int
+	symptoms []soc.Symptom
+	names    map[string]int32 // message name → its tally in counts
+	counts   []counts
+}
+
+// NewDiff compares a buggy run against the golden run. Only delivered
+// events are visible (the monitor cannot see dropped messages). Payload
+// comparison is occurrence-exact: the data generator is a pure function of
+// (message, index, occurrence), so any difference is bug-induced. The
+// focused view is taken at the first symptom's index.
+func NewDiff(golden, buggy *soc.Result) *Diff {
+	d := &Diff{focus: -1, symptoms: buggy.Symptoms, names: make(map[string]int32)}
+	if len(buggy.Symptoms) > 0 {
+		d.focus = buggy.Symptoms[0].Index
 	}
-	goldData := make(map[occKey]uint64)
-	for _, ev := range golden.Delivered() {
-		c, ok := byName[ev.Msg.Name]
+	// Each (name, index) pair gets a dense slot, keyed by its name's dense
+	// ID and its index; an index outside [0, 2^31) is numbered from 2^31
+	// up instead. A slot chains its delivered golden occurrences in
+	// emission order.
+	type goldOcc struct {
+		occurrence int
+		data       uint64
+		next       int32 // the slot's next golden occurrence, or -1
+	}
+	var wide map[int]uint64
+	n := len(golden.Events)
+	slots := make(map[uint64]int32, n)
+	head, tail := make([]int32, 0, n), make([]int32, 0, n)
+	gold := make([]goldOcc, 0, n)
+	slot := func(m flow.IndexedMsg) (int32, *counts) {
+		name, ok := d.names[m.Name]
 		if !ok {
+			name = int32(len(d.counts))
+			d.names[m.Name] = name
+			d.counts = append(d.counts, counts{})
+		}
+		index := uint64(m.Index)
+		if index >= 1<<31 {
+			if index, ok = wide[m.Index]; !ok {
+				if wide == nil {
+					wide = make(map[int]uint64)
+				}
+				index = 1<<31 + uint64(len(wide))
+				wide[m.Index] = index
+			}
+		}
+		key := index<<32 | uint64(name)
+		s, ok := slots[key]
+		if !ok {
+			s = int32(len(head))
+			slots[key] = s
+			head, tail = append(head, -1), append(tail, -1)
+		}
+		return s, &d.counts[name]
+	}
+	for i := range golden.Events {
+		ev := &golden.Events[i]
+		if ev.Dropped {
 			continue
 		}
+		s, c := slot(ev.Msg)
 		c.golden++
-		if ev.Msg.Index == obs.FocusIndex {
+		if ev.Msg.Index == d.focus {
 			c.goldenFocused++
 		}
-		goldData[occKey{ev.Msg.Name, ev.Msg.Index, ev.Occurrence}] = ev.Data
+		g := int32(len(gold))
+		gold = append(gold, goldOcc{occurrence: ev.Occurrence, data: ev.Data, next: -1})
+		if tail[s] < 0 {
+			head[s] = g
+		} else {
+			gold[tail[s]].next = g
+		}
+		tail[s] = g
 	}
-	for _, ev := range buggy.Delivered() {
-		c, ok := byName[ev.Msg.Name]
-		if !ok {
+	for i := range buggy.Events {
+		ev := &buggy.Events[i]
+		if ev.Dropped {
 			continue
 		}
+		s, c := slot(ev.Msg)
 		c.buggy++
-		focused := ev.Msg.Index == obs.FocusIndex
+		focused := ev.Msg.Index == d.focus
 		if focused {
 			c.buggyFocused++
 		}
-		if want, ok := goldData[occKey{ev.Msg.Name, ev.Msg.Index, ev.Occurrence}]; ok && want != ev.Data {
+		// Of two golden events with one occurrence number, the later one
+		// counts, as it would under a map keyed by the occurrence.
+		want, ok := uint64(0), false
+		for g := head[s]; g >= 0; g = gold[g].next {
+			if gold[g].occurrence == ev.Occurrence {
+				want, ok = gold[g].data, true
+			}
+		}
+		if ok && want != ev.Data {
 			c.corrupt = true
 			if focused {
 				c.corruptFocused = true
 			}
 		}
 	}
-	classify := func(corrupt bool, buggy, golden int) Status {
-		switch {
-		case corrupt:
-			return Corrupt
-		case buggy == 0 && golden > 0:
-			return Missing
-		case buggy < golden:
-			return Reduced
-		case buggy > golden:
-			return Extra
-		default:
-			return Normal
+	return d
+}
+
+// Observation projects the diff onto a traced message set. A traced name
+// neither run delivers reads Normal with no entries.
+func (d *Diff) Observation(traced map[string]bool) Observation {
+	obs := newObservation(len(traced), d.focus, d.symptoms)
+	for name := range traced {
+		var c counts
+		if id, ok := d.names[name]; ok {
+			c = d.counts[id]
 		}
-	}
-	for name, c := range byName {
-		obs.Entries[name] = c.buggy
-		obs.Global[name] = classify(c.corrupt, c.buggy, c.golden)
-		obs.Focused[name] = classify(c.corruptFocused, c.buggyFocused, c.goldenFocused)
+		obs.record(name, c)
 	}
 	return obs
+}
+
+// Observe diffs a buggy run against the golden run over the traced message
+// set: NewDiff(golden, buggy).Observation(traced).
+func Observe(golden, buggy *soc.Result, traced map[string]bool) Observation {
+	return NewDiff(golden, buggy).Observation(traced)
 }
 
 // ProjectedTrace returns the run's projection onto the traced set: the

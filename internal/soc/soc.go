@@ -17,14 +17,24 @@
 // seed) hashes, so a golden and a buggy run can be diffed occurrence by
 // occurrence to decide which messages a bug affects (the paper's bug
 // coverage metric, Table 5).
+//
+// A run costs per event, not per instance. It numbers its (message name,
+// index) pairs densely once, hashing each pair's payload prefix once, so an
+// event's occurrence count and payload take no map lookup and no
+// allocation. Unstarted launches wait in a queue by start cycle, and only
+// started, live instances are scanned for the mutex holder and the ready
+// set; the ready order (ascending launch position) and the PRNG draw
+// sequence are those of a scan over every instance.
 package soc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
@@ -90,16 +100,61 @@ func Repeat(f *flow.Flow, n, firstIndex int, start, stride uint64) []Launch {
 	return out
 }
 
-// DefaultDataGen derives the payload of one message occurrence from an
-// FNV-1a hash of its coordinates, masked to the message width. It is a
-// pure function of its arguments, so golden and buggy runs agree on
-// unperturbed payloads.
+// DefaultDataGen derives the payload of one message occurrence from the
+// FNV-1a hash of "name/index/occurrence/seed" (the decimal coordinates),
+// masked to the message width. It is a pure function of its arguments, so
+// golden and buggy runs agree on unperturbed payloads. Run computes the
+// same value from a per-(name, index) hash prefix; neither allocates.
 func DefaultDataGen(m flow.Message, index, occurrence int, seed int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d/%d/%d", m.Name, index, occurrence, seed)
-	v := h.Sum64()
-	if m.Width < 64 {
-		v &= (uint64(1) << uint(m.Width)) - 1
+	var buf [21]byte
+	return payload(keyHash(fnvOffset, m.Name, index), occurrence, seedSuffix(buf[:0], seed), m.Width)
+}
+
+// FNV-1a 64, hash/fnv's New64a folded by hand so that hashing allocates
+// nothing.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return h
+}
+
+// fnvInt folds v's decimal digits, as fmt's %d writes them.
+func fnvInt(h uint64, v int64) uint64 {
+	var buf [20]byte
+	return fnvBytes(h, strconv.AppendInt(buf[:0], v, 10))
+}
+
+// keyHash folds "name/index/" into h. From fnvOffset it is the prefix
+// every payload of one indexed message shares.
+func keyHash(h uint64, name string, index int) uint64 {
+	h = fnvString(fnvString(h, name), "/")
+	return fnvString(fnvInt(h, int64(index)), "/")
+}
+
+// seedSuffix appends "/seed" to dst: the bytes after the occurrence.
+func seedSuffix(dst []byte, seed int64) []byte {
+	return strconv.AppendInt(append(dst, '/'), seed, 10)
+}
+
+// payload finishes a slot hash over the occurrence's digits and the seed
+// suffix, masked to width bits.
+func payload(h uint64, occurrence int, seed []byte, width int) uint64 {
+	v := fnvBytes(fnvInt(h, int64(occurrence)), seed)
+	if width < 64 {
+		v &= (uint64(1) << uint(width)) - 1
 	}
 	return v
 }
@@ -208,6 +263,76 @@ type instance struct {
 	poisoned bool
 	lastMsg  flow.IndexedMsg
 	hasMsg   bool
+	// slots maps the flow's message table to the run's (name, index) slots.
+	slots []int32
+}
+
+// slotTable numbers a run's (message name, index) pairs densely. Every
+// launch that emits a pair shares its slot, so occurrences count across
+// flows that carry the same message name at the same index, as the
+// payload hash and the golden/buggy diff require.
+type slotTable struct {
+	prefix []uint64 // keyHash of the slot's "name/index/"
+	occ    []int    // emissions so far
+}
+
+// newSlots fills each instance's slot list. Names are interned once per
+// distinct flow and hashed once per name; launches are visited by index,
+// so the launches that share an index, and with it their slots, are
+// adjacent. total is the launches' summed message-table sizes.
+func newSlots(insts []instance, total int) *slotTable {
+	arena := make([]int32, total)
+	names := make(map[string]int32)
+	flowNames := make(map[*flow.Flow][]int32)
+	// Per name: the FNV-1a state after "name/", and its slot in the last
+	// index group that emits it (group numbers start at 1).
+	type nameSlot struct {
+		hash        uint64
+		group, slot int32
+	}
+	var byName []nameSlot
+	byIndex := make([]int32, len(insts))
+	for i := range byIndex {
+		byIndex[i] = int32(i)
+	}
+	slices.SortFunc(byIndex, func(a, b int32) int { return cmp.Compare(insts[a].launch.Index, insts[b].launch.Index) })
+	t := &slotTable{prefix: make([]uint64, 0, total)}
+	group := int32(0)
+	var buf [20]byte
+	digits := buf[:0] // the group's index, as fmt's %d writes it
+	for k, i := range byIndex {
+		in := &insts[i]
+		if k == 0 || in.launch.Index != insts[byIndex[k-1]].launch.Index {
+			group++
+			digits = strconv.AppendInt(digits[:0], int64(in.launch.Index), 10)
+		}
+		f := in.launch.Flow
+		nameIDs, ok := flowNames[f]
+		if !ok {
+			nameIDs = make([]int32, f.NumMessages())
+			for m, msg := range f.Messages() {
+				id, ok := names[msg.Name]
+				if !ok {
+					id = int32(len(names))
+					names[msg.Name] = id
+					byName = append(byName, nameSlot{hash: fnvString(fnvString(fnvOffset, msg.Name), "/")})
+				}
+				nameIDs[m] = id
+			}
+			flowNames[f] = nameIDs
+		}
+		in.slots, arena = arena[:len(nameIDs):len(nameIDs)], arena[len(nameIDs):]
+		for m, name := range nameIDs {
+			ns := &byName[name]
+			if ns.group != group {
+				ns.group, ns.slot = group, int32(len(t.prefix))
+				t.prefix = append(t.prefix, fnvString(fnvBytes(ns.hash, digits), "/"))
+			}
+			in.slots[m] = ns.slot
+		}
+	}
+	t.occ = make([]int, len(t.prefix))
+	return t
 }
 
 // poisonMask is the payload perturbation a poisoned instance applies to
@@ -216,9 +341,8 @@ type instance struct {
 // The mask is a pure function of the instance so golden/buggy diffing
 // stays occurrence-exact, and is never zero.
 func poisonMask(f *flow.Flow, index int, width int, seed int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "poison/%s/%d/%d", f.Name(), index, seed)
-	v := h.Sum64() | 1
+	h := keyHash(fnvString(fnvOffset, "poison/"), f.Name(), index)
+	v := fnvInt(h, seed) | 1
 	if width < 64 {
 		v &= (uint64(1) << uint(width)) - 1
 		if v == 0 {
@@ -244,25 +368,51 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	run := make([]*instance, len(sc.Launches))
+	run := make([]instance, len(sc.Launches))
+	msgs := 0
 	for i, l := range sc.Launches {
 		if len(l.Flow.Init()) != 1 {
 			return nil, fmt.Errorf("soc: flow %q must have exactly one initial state", l.Flow.Name())
 		}
-		run[i] = &instance{launch: l, state: l.Flow.Init()[0], readyAt: l.Start}
+		run[i] = instance{launch: l, state: l.Flow.Init()[0], readyAt: l.Start}
+		msgs += l.Flow.NumMessages()
+	}
+	slots := newSlots(run, msgs)
+	var seedBuf [21]byte
+	seed := seedSuffix(seedBuf[:0], cfg.Seed)
+
+	// Unstarted launches wait by (start cycle, launch position): launch
+	// order is flow-major, and start cycles need not rise with it. Started
+	// instances that are neither done nor wedged are live, in launch
+	// position order. flow.Builder forbids atomic initial states, so the
+	// mutex holder is always live, and so is every instance that can fire.
+	queue := make([]int32, len(run))
+	for i := range queue {
+		queue[i] = int32(i)
+	}
+	slices.SortStableFunc(queue, func(a, b int32) int { return cmp.Compare(run[a].readyAt, run[b].readyAt) })
+	live := make([]int32, 0, len(run))
+	retire := func(i int32) {
+		at := slices.Index(live, i)
+		live = slices.Delete(live, at, at+1)
 	}
 
-	res := &Result{}
-	occ := make(map[flow.IndexedMsg]int)
+	// A chain flow emits each of its messages once per launch.
+	res := &Result{Events: make([]Event, 0, msgs)}
 	var cycle uint64
-
-	var ready []int
+	var ready []int32
 	for {
+		for len(queue) > 0 && run[queue[0]].readyAt <= cycle {
+			i := queue[0]
+			queue = queue[1:]
+			at, _ := slices.BinarySearch(live, i)
+			live = slices.Insert(live, at, i)
+		}
 		// An instance in an atomic state holds the global mutex: only it
 		// may move (flow.Builder guarantees at most one can be atomic).
-		holder := -1
-		for i, in := range run {
-			if !in.done && !in.wedged && in.launch.Flow.IsAtomic(in.state) {
+		holder := int32(-1)
+		for _, i := range live {
+			if in := &run[i]; in.launch.Flow.IsAtomic(in.state) {
 				holder = i
 				break
 			}
@@ -271,15 +421,18 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		// cycle, and the next cycle at which a waiting one can.
 		ready = ready[:0]
 		next := ^uint64(0)
-		for i, in := range run {
-			if in.done || in.wedged || (holder >= 0 && holder != i) {
+		for _, i := range live {
+			if holder >= 0 && holder != i {
 				continue
 			}
-			if in.readyAt <= cycle {
+			if at := run[i].readyAt; at <= cycle {
 				ready = append(ready, i)
-			} else if in.readyAt < next {
-				next = in.readyAt
+			} else if at < next {
+				next = at
 			}
+		}
+		if holder < 0 && len(queue) > 0 && run[queue[0]].readyAt < next {
+			next = run[queue[0]].readyAt
 		}
 		if len(ready) == 0 {
 			if next == ^uint64(0) {
@@ -295,27 +448,31 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 			break
 		}
 
-		in := run[ready[rng.Intn(len(ready))]]
+		pick := ready[rng.Intn(len(ready))]
+		in := &run[pick]
 		f := in.launch.Flow
 		outs := f.Out(in.state)
 		if len(outs) == 0 {
 			// Stop state with no successors (the common case) — finished.
 			in.done = true
+			retire(pick)
 			continue
 		}
 		edge := f.Edges()[outs[rng.Intn(len(outs))]]
 		m := f.Message(edge.Msg)
 		im := flow.IndexedMsg{Name: m.Name, Index: in.launch.Index}
+		slot := in.slots[edge.Msg]
+		occ := slots.occ[slot]
+		slots.occ[slot]++
 		ev := Event{
 			Cycle:      cycle,
 			Seq:        len(res.Events),
 			Msg:        im,
 			Src:        m.Src,
 			Dst:        m.Dst,
-			Data:       DefaultDataGen(m, in.launch.Index, occ[im], cfg.Seed),
-			Occurrence: occ[im],
+			Data:       payload(slots.prefix[slot], occ, seed, m.Width),
+			Occurrence: occ,
 		}
-		occ[im]++
 		if in.poisoned {
 			// Corrupted state propagates: everything this instance emits
 			// downstream of the corruption carries wrong data.
@@ -349,6 +506,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		case ev.Dropped, ev.Misrouted:
 			// The consumer never sees the message; the protocol stalls.
 			in.wedged = true
+			retire(pick)
 		default:
 			if ev.Corrupted {
 				in.poisoned = true
@@ -363,6 +521,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 			// (Definition 2).
 			if f.IsStop(in.state) {
 				in.done = true
+				retire(pick)
 				if in.poisoned {
 					res.Symptoms = append(res.Symptoms, Symptom{
 						Kind: BadTrap, Cycle: ev.Cycle, Flow: f.Name(), Index: in.launch.Index, Msg: im,
@@ -373,7 +532,8 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	}
 
 	res.EndCycle = cycle
-	for _, in := range run {
+	for i := range run {
+		in := &run[i]
 		switch {
 		case in.done:
 			res.Completed++

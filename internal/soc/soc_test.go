@@ -1,6 +1,9 @@
 package soc
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,6 +112,31 @@ func TestDataGenPureFunction(t *testing.T) {
 	}
 	if DefaultDataGen(m, 1, 3, 99) == a && DefaultDataGen(m, 2, 2, 99) == a {
 		t.Error("payloads suspiciously identical across coordinates")
+	}
+}
+
+// poisonMask must reproduce the fmt and hash/fnv form of its hash, which
+// the corrupt-propagation goldens depend on.
+func TestPoisonMaskMatchesFmtReference(t *testing.T) {
+	f := flow.CacheCoherence()
+	for index := -2; index <= 40; index++ {
+		for _, seed := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "poison/%s/%d/%d", f.Name(), index, seed)
+			full := h.Sum64() | 1
+			for _, w := range []int{1, 7, 32, 63, 64} {
+				want := full
+				if w < 64 {
+					want &= (uint64(1) << uint(w)) - 1
+					if want == 0 {
+						want = 1
+					}
+				}
+				if got := poisonMask(f, index, w, seed); got != want {
+					t.Fatalf("poisonMask(index %d, width %d, seed %d) = %#x, want %#x", index, w, seed, got, want)
+				}
+			}
+		}
 	}
 }
 
