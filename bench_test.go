@@ -487,39 +487,6 @@ func BenchmarkAblationSelector(b *testing.B) {
 	}
 }
 
-// Restoration engine power: forward-only (typical SRR tooling) versus full
-// combinational backward justification.
-func BenchmarkAblationRestoreBackward(b *testing.B) {
-	n := usb.Design()
-	tr := netlist.Record(n, 48, benchSeed)
-	taps := []int{}
-	for _, name := range []string{"rx_shift8", "tx_shift7", "fifo5_3", "crc5_2"} {
-		id, ok := n.NetID(name)
-		if !ok {
-			b.Fatalf("%s missing", name)
-		}
-		taps = append(taps, id)
-	}
-	for _, backward := range []bool{false, true} {
-		backward := backward
-		name := "forward-only"
-		if backward {
-			name = "with-backward"
-		}
-		b.Run(name, func(b *testing.B) {
-			var srr float64
-			for i := 0; i < b.N; i++ {
-				res, err := restore.RestoreWith(tr, taps, restore.Options{Backward: backward})
-				if err != nil {
-					b.Fatal(err)
-				}
-				srr = res.SRR
-			}
-			b.ReportMetric(srr, "srr")
-		})
-	}
-}
-
 // Scenario scale: interleaving and selection cost versus instance count —
 // the scalability objective of the paper's third contribution.
 func BenchmarkAblationScale(b *testing.B) {

@@ -1,12 +1,13 @@
 // Command benchratchet is the CI performance ratchet for the Step-2
 // selectors: it runs the selection benchmarks, writes their ns/op,
 // B/op, and allocs/op to a JSON report, and compares the report against a
-// committed baseline with a relative tolerance band — a >25% ns/op (or
-// allocs/op) regression on any benchmark fails the run.
+// committed baseline — a >25% ns/op regression (the -tolerance band), or a
+// >10% B/op or allocs/op regression (the fixed memBand), on any benchmark
+// fails the run.
 //
 //	benchratchet                        # run, write BENCH_select.json, compare
 //	benchratchet -update                # run and (re)write BENCH_baseline.json
-//	benchratchet -tolerance 0.5         # widen the band (noisy runners)
+//	benchratchet -tolerance 0.5         # widen the ns/op band (noisy runners)
 //	benchratchet -parse bench.txt       # ingest existing `go test -bench` output
 //
 // The benchmark set defaults to the selector quartet the ratchet exists
@@ -52,6 +53,11 @@ var errUsage = fmt.Errorf("usage")
 // (simulation, selection and debugging).
 const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$|BenchmarkTotalPaths$|BenchmarkPairCount$|BenchmarkSoCSimScenario1$|BenchmarkCampaignScenario1$|BenchmarkTable3$"
 
+// memBand is the allowed relative regression of B/op and allocs/op. Unlike
+// ns/op, both counts barely move with the machine's load, so they keep a
+// tight band that -tolerance does not widen.
+const memBand = 0.10
+
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.
 type Result struct {
@@ -71,7 +77,7 @@ func run(args []string, w io.Writer) error {
 		dir       = fs.String("dir", ".", "module directory go test runs in")
 		out       = fs.String("out", "BENCH_select.json", "write the measured report here ('' = skip)")
 		baseline  = fs.String("baseline", "BENCH_baseline.json", "committed baseline to ratchet against")
-		tolerance = fs.Float64("tolerance", 0.25, "allowed relative regression per metric (0.25 = +25%)")
+		tolerance = fs.Float64("tolerance", 0.25, "allowed relative ns/op regression (0.25 = +25%); B/op and allocs/op keep a fixed 10% band")
 		update    = fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
 		parse     = fs.String("parse", "", "parse this `go test -bench` output file instead of running benchmarks")
 	)
@@ -124,7 +130,7 @@ func run(args []string, w io.Writer) error {
 	report, regressions := compare(base, results, *tolerance)
 	fmt.Fprint(w, report)
 	if regressions > 0 {
-		return fmt.Errorf("%d benchmark metric(s) regressed beyond the %.0f%% band", regressions, *tolerance*100)
+		return fmt.Errorf("%d benchmark(s) regressed beyond the %.0f%% ns/op or %.0f%% memory band", regressions, *tolerance*100, memBand*100)
 	}
 	return nil
 }
@@ -202,10 +208,11 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 }
 
 // compare checks every baseline benchmark against the current run: a
-// missing benchmark or a metric more than tolerance above its baseline is
-// a regression; a benchmark the baseline has never seen demands a baseline
-// update (otherwise it would ride ungated forever). Improvements are
-// reported but never gate — the ratchet tightens by re-running -update.
+// missing benchmark, an ns/op more than tolerance above its baseline, or a
+// B/op or allocs/op more than memBand above its baseline is a regression;
+// a benchmark the baseline has never seen demands a baseline update
+// (otherwise it would ride ungated forever). Improvements are reported but
+// never gate — the ratchet tightens by re-running -update.
 func compare(base, cur map[string]Result, tolerance float64) (string, int) {
 	var b strings.Builder
 	regressions := 0
@@ -223,14 +230,15 @@ func compare(base, cur map[string]Result, tolerance float64) (string, int) {
 			continue
 		}
 		nsRel := rel(got.NsPerOp, want.NsPerOp)
+		bytesRel := rel(float64(got.BytesPerOp), float64(want.BytesPerOp))
 		allocRel := rel(float64(got.AllocsPerOp), float64(want.AllocsPerOp))
 		status := "ok      "
-		if nsRel > tolerance || allocRel > tolerance {
+		if nsRel > tolerance || bytesRel > memBand || allocRel > memBand {
 			status = "REGRESS "
 			regressions++
 		}
-		fmt.Fprintf(&b, "%s %s: %.0f ns/op (baseline %.0f, %+.1f%%), %d allocs/op (baseline %d)\n",
-			status, name, got.NsPerOp, want.NsPerOp, nsRel*100, got.AllocsPerOp, want.AllocsPerOp)
+		fmt.Fprintf(&b, "%s %s: %.0f ns/op (baseline %.0f, %+.1f%%), %d B/op (baseline %d), %d allocs/op (baseline %d)\n",
+			status, name, got.NsPerOp, want.NsPerOp, nsRel*100, got.BytesPerOp, want.BytesPerOp, got.AllocsPerOp, want.AllocsPerOp)
 	}
 	for name := range cur {
 		if _, ok := base[name]; !ok {

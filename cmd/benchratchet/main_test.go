@@ -77,6 +77,31 @@ func TestCompareRegressions(t *testing.T) {
 	}
 }
 
+// B/op and allocs/op keep their 10% band whatever -tolerance allows
+// ns/op: under -tolerance 1.0 a B/op-only or an allocs-only regression
+// still fails, while growth inside the band passes.
+func TestCompareMemoryBand(t *testing.T) {
+	base := map[string]Result{
+		"BenchmarkBytes":  {NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 10},
+		"BenchmarkAllocs": {NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 10},
+		"BenchmarkInside": {NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 100},
+	}
+	cur := map[string]Result{
+		"BenchmarkBytes":  {NsPerOp: 1000, BytesPerOp: 1150, AllocsPerOp: 10},  // +15% B/op
+		"BenchmarkAllocs": {NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 12},  // +20% allocs
+		"BenchmarkInside": {NsPerOp: 1900, BytesPerOp: 1090, AllocsPerOp: 109}, // +90% ns, +9% each
+	}
+	report, regressions := compare(base, cur, 1.0)
+	if regressions != 2 {
+		t.Fatalf("regressions = %d, want 2 (bytes, allocs):\n%s", regressions, report)
+	}
+	for _, want := range []string{"REGRESS  BenchmarkBytes", "REGRESS  BenchmarkAllocs", "ok       BenchmarkInside"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+}
+
 // TestRunParseModeEndToEnd drives the CLI through -parse: update a
 // baseline, compare clean, then regress one metric and watch the gate trip.
 func TestRunParseModeEndToEnd(t *testing.T) {

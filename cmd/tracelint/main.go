@@ -7,7 +7,6 @@
 //	tracelint -C /path/to/module ./...
 //	tracelint -baseline lint_baseline.json ./...
 //	tracelint -write-baseline lint_baseline.json ./...
-//	tracelint -workers 4 ./...
 //
 // Diagnostics are printed one per line as file:line:col: [analyzer]
 // message (or as a JSON array with -json). The exit code is 0 when clean,
@@ -18,8 +17,7 @@
 // baseline: findings not in the baseline fail the run, and so do baseline
 // entries that no longer fire (paid-down debt must be banked by shrinking
 // the file). -write-baseline records the current findings as the new
-// baseline. -workers parallelizes the typecheck phase; diagnostics are
-// byte-identical at every worker count.
+// baseline.
 package main
 
 import (
@@ -60,7 +58,6 @@ func run(args []string, w io.Writer) error {
 		list      = fs.Bool("list", false, "list available analyzers and exit")
 		baseline  = fs.String("baseline", "", "ratchet against this baseline file: fail on findings not in it and on stale entries")
 		writeBase = fs.String("write-baseline", "", "write the current findings to this baseline file and exit clean")
-		workers   = fs.Int("workers", 0, "typecheck workers (0 = GOMAXPROCS); diagnostics are identical at any count")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -89,7 +86,7 @@ func run(args []string, w io.Writer) error {
 		patterns = []string{"./..."}
 	}
 
-	diags, err := analysis.RunParallel(*dir, patterns, analyzers, *workers)
+	diags, err := analysis.Run(*dir, patterns, analyzers)
 	if err != nil {
 		return err
 	}

@@ -240,23 +240,3 @@ func TestRunBaselineMissingFile(t *testing.T) {
 		t.Fatalf("err = %v, want a load error for a missing baseline", err)
 	}
 }
-
-// TestRunWorkersFlag pins that worker counts only change scheduling, never
-// output: the same findings error at -workers 1 and 4.
-func TestRunWorkersFlag(t *testing.T) {
-	dir := dirtyModule(t)
-	var want string
-	for _, w := range []string{"1", "4"} {
-		var buf bytes.Buffer
-		err := run([]string{"-C", dir, "-workers", w, "./..."}, &buf)
-		if err == nil {
-			t.Fatalf("-workers %s: expected the findings error", w)
-		}
-		got := err.Error() + "\n" + buf.String()
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("-workers %s output diverges:\n%s\nvs\n%s", w, got, want)
-		}
-	}
-}

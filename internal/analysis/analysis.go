@@ -17,7 +17,7 @@
 //     declared outside the loop (unless sorted afterwards) or float
 //     accumulation, both of which would break the parallel ≡ serial and
 //     run-to-run bit-reproducibility invariants.
-//   - clockrand: internal/{core,interleave,flow,soc,info} must not read the
+//   - clockrand: internal/{core,interleave,flow,soc,campaign} must not read the
 //     wall clock (time.Now/Since/Until) or the global math/rand source;
 //     randomness is injected as a seeded *rand.Rand and the only sanctioned
 //     wall-clock use is the registry-gated metrics-timing allowlist,

@@ -5,7 +5,7 @@ import "strings"
 // ClockRand guards run reproducibility: the simulator, the selection
 // pipeline, and the information-gain computation must be pure functions of
 // their inputs and seeds, so the fuzz corpus and the paper's goldens replay
-// bit-identically. In internal/{core,interleave,flow,soc,info,campaign} it
+// bit-identically. In internal/{core,interleave,flow,soc,campaign} it
 // forbids
 //
 //   - reading the wall clock: time.Now, time.Since, time.Until (trace
@@ -19,7 +19,7 @@ import "strings"
 var ClockRand = &Analyzer{
 	Name:     "clockrand",
 	Doc:      "no wall clock or global math/rand in the deterministic packages; inject seeds and clocks",
-	Scope:    []string{"core", "interleave", "flow", "soc", "info", "campaign"},
+	Scope:    []string{"core", "interleave", "flow", "soc", "campaign"},
 	FactsRun: runClockRand,
 }
 

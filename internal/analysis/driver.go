@@ -189,13 +189,33 @@ func (c *Checker) check(importPath string, paths []string) (*Pass, error) {
 }
 
 // Run is the whole pipeline: list the patterns in dir, typecheck each
-// matched package, collect facts, run the analyzers over the merged
-// package graph (one AnalyzeGraph call, so interprocedural analyzers see
-// cross-package edges), and return every surviving finding sorted by
-// position. Packages without Go files (e.g. pure-test packages) are
-// skipped. Run is single-worker; RunParallel fans the typecheck phase out.
+// matched package and collect its facts in go-list order, run the
+// analyzers over the merged package graph (one AnalyzeGraph call, so
+// interprocedural analyzers see cross-package edges), and return every
+// surviving finding sorted by position. Packages without Go files (e.g.
+// pure-test packages) are skipped. The first package that fails to
+// typecheck, in go-list order, is the error. Packages are checked one at
+// a time: every import goes through the one shared importer anyway.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunParallel(dir, patterns, analyzers, 1)
+	pkgs, err := GoList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	c := NewChecker()
+	var passes []*Pass
+	var facts []*PkgFacts
+	for _, pkg := range pkgs {
+		if pkg.Error == nil && len(pkg.GoFiles) == 0 {
+			continue // pure-test or empty package: nothing to analyze
+		}
+		pass, err := c.Check(pkg)
+		if err != nil {
+			return nil, err
+		}
+		passes = append(passes, pass)
+		facts = append(facts, CollectFacts(pass))
+	}
+	return AnalyzeGraph(passes, facts, analyzers), nil
 }
 
 // jsonDiagnostic is the machine-readable diagnostic schema of

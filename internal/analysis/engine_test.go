@@ -8,9 +8,9 @@ import (
 )
 
 // multiPkgModule writes a throwaway module with findings spread across
-// four packages, so a parallel run has real work to order deterministically:
-// soc (clockrand), flow (detrange), campaign (clockrand + detrange), and
-// core (clockrand + a detflow-tainted marshal).
+// four packages, so one run merges facts across package boundaries: soc
+// (clockrand), flow (detrange), campaign (clockrand + detrange), and core
+// (clockrand + a detflow-tainted marshal).
 func multiPkgModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -70,69 +70,49 @@ func Export(v []int) ([]byte, error) {
 	return dir
 }
 
-// TestRunParallelByteStable pins the acceptance criterion the -workers flag
-// promises: diagnostics are byte-identical at every worker count.
-func TestRunParallelByteStable(t *testing.T) {
+// TestRunMultiPackage runs the whole pipeline over a four-package module:
+// every finding surfaces once, and the interprocedural detflow finding
+// crosses the Export -> stamp call boundary.
+func TestRunMultiPackage(t *testing.T) {
 	dir := multiPkgModule(t)
-	render := func(diags []Diagnostic) string {
-		var sb strings.Builder
-		for _, d := range diags {
-			sb.WriteString(d.String())
-			sb.WriteString("\n")
-		}
-		return sb.String()
-	}
-	serial, err := RunParallel(dir, []string{"./..."}, All(), 1)
+	diags, err := Run(dir, []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != 6 {
-		t.Fatalf("got %d findings, want 6:\n%s", len(serial), render(serial))
+	var sb strings.Builder
+	for _, d := range diags {
+		sb.WriteString(d.String())
+		sb.WriteString("\n")
 	}
-	// The detflow finding must cross the Export -> stamp call boundary.
+	if len(diags) != 6 {
+		t.Fatalf("got %d findings, want 6:\n%s", len(diags), sb.String())
+	}
 	var sawDetflow bool
-	for _, d := range serial {
+	for _, d := range diags {
 		if d.Analyzer == "detflow" && strings.Contains(d.Message, "via Export -> stamp") {
 			sawDetflow = true
 		}
 	}
 	if !sawDetflow {
-		t.Errorf("missing the interprocedural detflow finding:\n%s", render(serial))
-	}
-	want := render(serial)
-	for _, workers := range []int{2, 4, 7} {
-		got, err := RunParallel(dir, []string{"./..."}, All(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if render(got) != want {
-			t.Errorf("workers=%d diverges from serial:\n--- serial ---\n%s--- workers=%d ---\n%s",
-				workers, want, workers, render(got))
-		}
+		t.Errorf("missing the interprocedural detflow finding:\n%s", sb.String())
 	}
 }
 
-// TestRunParallelErrorDeterministic pins error selection: whichever worker
-// hits the broken package first, the reported error is the same.
-func TestRunParallelErrorDeterministic(t *testing.T) {
+// TestRunFirstErrorInListOrder pins error selection: with two packages
+// that fail to typecheck, Run reports the first in go-list order.
+func TestRunFirstErrorInListOrder(t *testing.T) {
 	dir := multiPkgModule(t)
-	if err := os.MkdirAll(filepath.Join(dir, "bad"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(dir, "bad", "bad.go"), "package bad\n\nfunc Broken() { return undefinedSymbol }\n")
-	var first string
-	for _, workers := range []int{1, 4} {
-		_, err := RunParallel(dir, []string{"./..."}, All(), workers)
-		if err == nil {
-			t.Fatalf("workers=%d: expected a typecheck error", workers)
+	for _, pkg := range []string{"bad", "worse"} {
+		if err := os.MkdirAll(filepath.Join(dir, pkg), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if first == "" {
-			first = err.Error()
-		} else if err.Error() != first {
-			t.Errorf("workers=%d error %q differs from serial %q", workers, err.Error(), first)
-		}
+		writeFile(t, filepath.Join(dir, pkg, pkg+".go"), "package "+pkg+"\n\nfunc Broken() { return undefinedSymbol }\n")
 	}
-	if !strings.Contains(first, "bad") {
-		t.Errorf("error %q does not name the broken package", first)
+	_, err := Run(dir, []string{"./..."}, All())
+	if err == nil {
+		t.Fatal("expected a typecheck error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "/bad:") || strings.Contains(msg, "worse") {
+		t.Errorf("error %q does not name the first broken package, bad", err)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // (testdata/src/obsdrop imports tracescale/internal/obs) with a fresh
 // importer per Checker re-typechecks the dependency chain from source
 // every time, while the shared cache pays it once for the process. The
-// shared case is what every NewChecker caller — the engine workers and
-// the golden-test harness alike — gets.
+// shared case is what every NewChecker caller — Run and the golden-test
+// harness alike — gets.
 func BenchmarkImporter(b *testing.B) {
 	dir := filepath.Join("testdata", "src", "obsdrop")
 	b.Run("isolated", func(b *testing.B) {

@@ -59,7 +59,7 @@ func PageRankBaseline(e *Evaluator, budget int) (Candidate, error) {
 			}
 		}
 	}
-	rank := g.PageRank(graph.PageRankOptions{})
+	rank := g.PageRank()
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

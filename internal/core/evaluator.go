@@ -11,13 +11,13 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"tracescale/internal/flow"
-	"tracescale/internal/info"
 	"tracescale/internal/interleave"
 	"tracescale/internal/obs"
 )
@@ -53,12 +53,6 @@ type Evaluator struct {
 
 	prodOnce sync.Once
 	p        *interleave.Product
-
-	// feasibleBy memoizes countFeasible per budget — the width multiset is
-	// immutable after construction, so the subset-sum DP runs at most once
-	// per distinct budget even across concurrent Selects.
-	feasibleMu sync.Mutex
-	feasibleBy map[int]int64
 }
 
 // component is one instance's slice of a cover bitset and its factors in
@@ -119,12 +113,11 @@ func analyze(instances []flow.Instance, reg *obs.Registry, p *interleave.Product
 		return nil, err
 	}
 	e := &Evaluator{
-		instances:  instances,
-		obs:        reg,
-		numStates:  n,
-		p:          p,
-		byName:     make(map[string]int),
-		feasibleBy: make(map[int]int64),
+		instances: instances,
+		obs:       reg,
+		numStates: n,
+		p:         p,
+		byName:    make(map[string]int),
 	}
 	for _, in := range instances {
 		for _, m := range in.Flow.Messages() {
@@ -331,13 +324,14 @@ func (e *Evaluator) gains(counts []*flowCounts) {
 			count += counts[cr.comp].edges[cr.m] * e.comps[cr.comp].others
 		}
 		py := float64(count) / float64(e.totalOcc)
-		var acc info.Accumulator
+		sum := 0.0
 		for c, states := range e.targetHistogram(counts, group, &buf) {
 			if c > 0 && states > 0 {
-				acc.AddN(states, py*float64(c)/float64(count), px, py)
+				pxy := py * float64(c) / float64(count)
+				sum += float64(states) * (pxy * math.Log(pxy/(px*py)))
 			}
 		}
-		e.gainOf[e.byName[group[0].msg.Name]] += acc.Value()
+		e.gainOf[e.byName[group[0].msg.Name]] += sum
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tracescale/internal/flow"
-	"tracescale/internal/info"
 	"tracescale/internal/interleave"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/synth"
@@ -80,11 +79,12 @@ func materialize(t *testing.T, p *interleave.Product, universe map[string]int) *
 			t.Fatalf("product edge labeled with unknown message %q", st.msg.Name)
 		}
 		py := float64(st.count) / float64(m.totalOcc)
-		var acc info.Accumulator
+		sum := 0.0
 		for _, tc := range st.targets {
-			acc.Add(py*float64(tc.count)/float64(st.count), px, py)
+			pxy := py * float64(tc.count) / float64(st.count)
+			sum += pxy * math.Log(pxy/(px*py))
 		}
-		m.gainOf[i] += acc.Value()
+		m.gainOf[i] += sum
 	}
 	return m
 }

@@ -153,28 +153,38 @@ func TestSelectNegativeMaxCandidates(t *testing.T) {
 	}
 }
 
-// Repeat observed Selects at one budget must not re-run the countFeasible
-// subset-sum DP: the per-budget memo on the Evaluator absorbs them, which
-// the core.select.feasible_dp_runs counter makes visible.
-func TestCountFeasibleMemoized(t *testing.T) {
+// countFeasible's subset-sum DP must equal a brute-force count of the
+// nonempty masks whose width fits, at budgets from 0 past the universe's
+// total width, and an observed Select must report that count as
+// core.select.masks_feasible.
+func TestCountFeasibleMatchesBruteForce(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := observedChainEvaluator(t, 8, reg)
-	for i := 0; i < 3; i++ {
-		if _, err := Select(e, Config{BufferWidth: 12}); err != nil {
-			t.Fatal(err)
+	e := observedChainEvaluator(t, 10, reg)
+	total := 0
+	for _, w := range e.widthOf {
+		total += w
+	}
+	for budget := 0; budget <= total+1; budget++ {
+		var want int64
+		for mask := uint64(1); mask < 1<<len(e.widthOf); mask++ {
+			width := 0
+			for i, w := range e.widthOf {
+				if mask&(1<<i) != 0 {
+					width += w
+				}
+			}
+			if width <= budget {
+				want++
+			}
+		}
+		if got := e.countFeasible(budget); got != want {
+			t.Errorf("countFeasible(%d) = %d, brute force %d", budget, got, want)
 		}
 	}
-	if got := reg.Snapshot()["core.select.feasible_dp_runs"]; got != 1 {
-		t.Errorf("feasible_dp_runs = %d after 3 selects at one budget, want 1", got)
-	}
-	if _, err := Select(e, Config{BufferWidth: 13}); err != nil {
+	if _, err := Select(e, Config{BufferWidth: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot()["core.select.feasible_dp_runs"]; got != 2 {
-		t.Errorf("feasible_dp_runs = %d after a second budget, want 2", got)
-	}
-	// The memoized count must equal the recomputed one.
-	if a, b := e.countFeasible(12), e.countFeasible(12); a != b || a < 1 {
-		t.Errorf("memoized countFeasible(12) = %d then %d", a, b)
+	if got, want := reg.Snapshot()["core.select.masks_feasible"], e.countFeasible(12); got != want {
+		t.Errorf("core.select.masks_feasible = %d, countFeasible(12) = %d", got, want)
 	}
 }

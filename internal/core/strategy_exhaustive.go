@@ -81,19 +81,10 @@ func (e *Evaluator) scanMasks(ctx context.Context, lo, hi uint64, budget int, ke
 // countFeasible returns how many nonempty message subsets have total trace
 // width within budget — the exact number of masks scanMasks scores rather
 // than prunes. Subset-sum counting over the width multiset, O(n × budget),
-// keeps the enumeration loop itself free of bookkeeping. The count is a
-// pure function of the evaluator's width multiset, so it is memoized per
-// budget: repeat observed Selects at one budget pay a map lookup, not the
-// DP (core.select.feasible_dp_runs counts the actual DP executions). The
-// count fits int64 because exhaustive enumeration is capped at
-// MaxCandidates masks total.
+// keeps the enumeration loop itself free of bookkeeping; only observed
+// Selects run it, next to the 2^n scan it describes. The count fits int64
+// because exhaustive enumeration is capped at MaxCandidates masks total.
 func (e *Evaluator) countFeasible(budget int) int64 {
-	e.feasibleMu.Lock()
-	defer e.feasibleMu.Unlock()
-	if total, ok := e.feasibleBy[budget]; ok {
-		return total
-	}
-	e.obs.Counter("core.select.feasible_dp_runs").Inc()
 	dp := make([]int64, budget+1)
 	dp[0] = 1
 	for _, w := range e.widthOf {
@@ -109,7 +100,6 @@ func (e *Evaluator) countFeasible(budget int) int64 {
 		total += n
 	}
 	total-- // the empty subset is never enumerated
-	e.feasibleBy[budget] = total
 	return total
 }
 

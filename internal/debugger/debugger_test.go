@@ -382,41 +382,3 @@ func TestObserveEntriesPartialCaptureMissesOutOfWindowCorruption(t *testing.T) {
 		t.Errorf("in-window corruption = %v, want corrupt", got.Global["m"])
 	}
 }
-
-// ProjectedTrace is the buffer-side view: delivered traced occurrences in
-// emission order, untraced and dropped messages invisible.
-func TestProjectedTrace(t *testing.T) {
-	fa, fb, _ := testFlows(t)
-	golden, _ := runPair(t, fa, fb)
-	traced := map[string]bool{"a1": true, "b2": true}
-	proj := ProjectedTrace(golden, traced)
-	if len(proj) == 0 {
-		t.Fatal("projection empty on a run that delivers a1 and b2")
-	}
-	for _, m := range proj {
-		if !traced[m.Name] {
-			t.Errorf("projection leaked untraced message %v", m)
-		}
-	}
-	// The projection is the traced subsequence of the delivered order.
-	var want []flow.IndexedMsg
-	for _, ev := range golden.Delivered() {
-		if traced[ev.Msg.Name] {
-			want = append(want, ev.Msg)
-		}
-	}
-	if len(proj) != len(want) {
-		t.Fatalf("projection has %d entries, want %d", len(proj), len(want))
-	}
-	for i := range want {
-		if proj[i] != want[i] {
-			t.Errorf("projection[%d] = %v, want %v", i, proj[i], want[i])
-		}
-	}
-	// A drop bug removes the dropped occurrence from the projection: the
-	// buffer records strictly less than the golden run.
-	_, buggy := runPair(t, fa, fb, inject.Bug{ID: 1, IP: "X", Target: "a1", Kind: inject.Drop, AfterIndex: 2})
-	if g, b := len(ProjectedTrace(golden, traced)), len(ProjectedTrace(buggy, traced)); b >= g {
-		t.Errorf("dropped projection has %d entries, golden %d — drops must be invisible", b, g)
-	}
-}

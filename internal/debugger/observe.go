@@ -249,22 +249,6 @@ func Observe(golden, buggy *soc.Result, traced map[string]bool) Observation {
 	return NewDiff(golden, buggy).Observation(traced)
 }
 
-// ProjectedTrace returns the run's projection onto the traced set: the
-// delivered occurrences of traced messages, in emission order — exactly
-// what an application-level trace buffer records, and the observation a
-// reconstruction engine (POST /reconstruct) takes as input. Dropped
-// emissions are invisible here for the same reason they are invisible to
-// Observe: the monitor sits at the destination.
-func ProjectedTrace(r *soc.Result, traced map[string]bool) []flow.IndexedMsg {
-	var out []flow.IndexedMsg
-	for _, ev := range r.Delivered() {
-		if traced[ev.Msg.Name] {
-			out = append(out, ev.Msg)
-		}
-	}
-	return out
-}
-
 // AffectedMessages returns the traced messages the bug affected anywhere
 // in the run, sorted by name — the rows of the paper's Table 5 for one
 // injected bug.

@@ -5,34 +5,52 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// report is the seed's markdown report, rendered once for every test that
+// checks it: rendering reruns the whole evaluation.
+var report struct {
+	once sync.Once
+	out  []byte
+	err  error
+}
+
+func renderedReport(t *testing.T) []byte {
+	t.Helper()
+	report.once.Do(func() {
+		var buf bytes.Buffer
+		report.err = RenderMarkdown(&buf, seed)
+		report.out = buf.Bytes()
+	})
+	if report.err != nil {
+		t.Fatal(report.err)
+	}
+	return report.out
+}
 
 // The full markdown evaluation report is pinned as a golden file: any
 // behavioral drift anywhere in the pipeline — selection, simulation,
 // debugging, localization — shows up as a diff here. Regenerate
 // deliberately with `go test ./internal/exp -run Golden -update`.
 func TestGoldenMarkdownReport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderMarkdown(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
+	got := renderedReport(t)
 	path := filepath.Join("testdata", "report.golden.md")
 	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("updated %s (%d bytes)", path, buf.Len())
+		t.Logf("updated %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		got := buf.Bytes()
+	if !bytes.Equal(got, want) {
 		line := 1
 		for i := 0; i < len(got) && i < len(want); i++ {
 			if got[i] != want[i] {

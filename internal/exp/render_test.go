@@ -89,11 +89,7 @@ func TestRenderCSVFigures(t *testing.T) {
 // The markdown report regenerates the whole evaluation; spot-check every
 // section is present and the tables are well-formed.
 func TestRenderMarkdown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderMarkdown(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := string(renderedReport(t))
 	for _, want := range []string{
 		"# tracescale evaluation report",
 		"## Table 1", "## Table 2", "## Table 3", "## Table 4",

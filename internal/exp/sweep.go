@@ -176,10 +176,14 @@ func RenderSRRCrossover(w io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
+	writeSRRCrossover(w, rows)
+	return nil
+}
+
+func writeSRRCrossover(w io.Writer, rows []SRRRow) {
 	header(w, "SRR vs flow-spec coverage on the USB design (each method tops its own metric)")
 	fmt.Fprintf(w, "%-10s %-8s %s\n", "Method", "SRR", "FSP coverage")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %-8.2f %s\n", r.Method, r.SRR, FormatPercent(r.Coverage))
 	}
-	return nil
 }

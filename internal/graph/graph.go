@@ -8,7 +8,7 @@ package graph
 import "fmt"
 
 // Directed is a directed graph over nodes 0..N-1 stored as adjacency lists.
-// The zero value is an empty graph; use New or AddNode/AddEdge to build one.
+// The zero value is an empty graph; use New and AddEdge to build one.
 type Directed struct {
 	succ [][]int
 	pred [][]int
@@ -31,13 +31,6 @@ func (g *Directed) N() int { return len(g.succ) }
 
 // M returns the number of edges.
 func (g *Directed) M() int { return g.m }
-
-// AddNode appends a fresh node and returns its id.
-func (g *Directed) AddNode() int {
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	return len(g.succ) - 1
-}
 
 // AddEdge inserts the edge u -> v. Parallel edges are allowed; callers that
 // need simple graphs must deduplicate themselves.
@@ -68,12 +61,6 @@ func (g *Directed) Pred(u int) []int {
 	g.check(u)
 	return g.pred[u]
 }
-
-// OutDegree returns the number of outgoing edges of u.
-func (g *Directed) OutDegree(u int) int { return len(g.Succ(u)) }
-
-// InDegree returns the number of incoming edges of u.
-func (g *Directed) InDegree(u int) int { return len(g.Pred(u)) }
 
 // Reachable returns the set of nodes reachable from any node in from,
 // including the from nodes themselves, as a boolean mask.

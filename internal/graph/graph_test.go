@@ -24,24 +24,11 @@ func TestNewAndDegrees(t *testing.T) {
 	if g.M() != 4 {
 		t.Fatalf("M = %d, want 4", g.M())
 	}
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 0 {
-		t.Errorf("node 0 degrees = out %d in %d, want 2, 0", g.OutDegree(0), g.InDegree(0))
+	if out, in := len(g.Succ(0)), len(g.Pred(0)); out != 2 || in != 0 {
+		t.Errorf("node 0 degrees = out %d in %d, want 2, 0", out, in)
 	}
-	if g.OutDegree(3) != 0 || g.InDegree(3) != 2 {
-		t.Errorf("node 3 degrees = out %d in %d, want 0, 2", g.OutDegree(3), g.InDegree(3))
-	}
-}
-
-func TestAddNode(t *testing.T) {
-	g := New(0)
-	a := g.AddNode()
-	b := g.AddNode()
-	if a != 0 || b != 1 {
-		t.Fatalf("AddNode ids = %d, %d; want 0, 1", a, b)
-	}
-	g.AddEdge(a, b)
-	if g.M() != 1 {
-		t.Fatalf("M = %d, want 1", g.M())
+	if out, in := len(g.Succ(3)), len(g.Pred(3)); out != 0 || in != 2 {
+		t.Errorf("node 3 degrees = out %d in %d, want 0, 2", out, in)
 	}
 }
 
@@ -139,7 +126,7 @@ func TestPageRankUniformOnCycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddEdge(i, (i+1)%4)
 	}
-	r := g.PageRank(PageRankOptions{})
+	r := g.PageRank()
 	for i, v := range r {
 		if math.Abs(v-0.25) > 1e-6 {
 			t.Errorf("rank[%d] = %g, want 0.25", i, v)
@@ -153,7 +140,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g.AddEdge(rng.Intn(50), rng.Intn(50))
 	}
-	r := g.PageRank(PageRankOptions{})
+	r := g.PageRank()
 	sum := 0.0
 	for _, v := range r {
 		if v < 0 {
@@ -172,7 +159,7 @@ func TestPageRankHub(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		g.AddEdge(i, 0)
 	}
-	r := g.PageRank(PageRankOptions{})
+	r := g.PageRank()
 	for i := 1; i < 6; i++ {
 		if r[0] <= r[i] {
 			t.Errorf("hub rank %g not above leaf rank %g", r[0], r[i])
@@ -181,7 +168,7 @@ func TestPageRankHub(t *testing.T) {
 }
 
 func TestPageRankEmpty(t *testing.T) {
-	if r := New(0).PageRank(PageRankOptions{}); r != nil {
+	if r := New(0).PageRank(); r != nil {
 		t.Errorf("rank of empty graph = %v, want nil", r)
 	}
 }

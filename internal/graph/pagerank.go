@@ -1,36 +1,21 @@
 package graph
 
-// PageRankOptions configures the PageRank power iteration.
-type PageRankOptions struct {
-	// Damping is the probability of following an edge (1-Damping teleports).
-	// The customary value 0.85 is used when Damping is 0.
-	Damping float64
-	// MaxIter bounds the number of power iterations (default 100).
-	MaxIter int
-	// Tol is the L1 convergence threshold (default 1e-9).
-	Tol float64
-}
-
-func (o PageRankOptions) withDefaults() PageRankOptions {
-	if o.Damping == 0 {
-		o.Damping = 0.85
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	return o
-}
+// The PageRank power iteration's parameters: the customary damping (the
+// probability of following an edge; 1-damping teleports), an iteration
+// bound, and the L1 convergence threshold. The constants are typed so
+// that 1-damping rounds exactly as it would at run time.
+const (
+	damping float64 = 0.85
+	maxIter int     = 100
+	tol     float64 = 1e-9
+)
 
 // PageRank computes the PageRank vector of the graph (dangling nodes
 // redistribute uniformly). The result sums to 1 for non-empty graphs.
 //
 // The PRNet baseline (Ma et al., ICCAD'15) ranks trace-signal candidates by
 // PageRank over the signal dependency graph; this is its numeric kernel.
-func (g *Directed) PageRank(opts PageRankOptions) []float64 {
-	o := opts.withDefaults()
+func (g *Directed) PageRank() []float64 {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -41,7 +26,7 @@ func (g *Directed) PageRank(opts PageRankOptions) []float64 {
 	for i := range rank {
 		rank[i] = inv
 	}
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		dangling := 0.0
 		for u := 0; u < n; u++ {
 			if len(g.succ[u]) == 0 {
@@ -49,13 +34,13 @@ func (g *Directed) PageRank(opts PageRankOptions) []float64 {
 			}
 			next[u] = 0
 		}
-		base := (1-o.Damping)*inv + o.Damping*dangling*inv
+		base := (1-damping)*inv + damping*dangling*inv
 		for u := 0; u < n; u++ {
 			next[u] += base
 		}
 		for u := 0; u < n; u++ {
 			if d := len(g.succ[u]); d > 0 {
-				share := o.Damping * rank[u] / float64(d)
+				share := damping * rank[u] / float64(d)
 				for _, v := range g.succ[u] {
 					next[v] += share
 				}
@@ -70,7 +55,7 @@ func (g *Directed) PageRank(opts PageRankOptions) []float64 {
 			diff += d
 		}
 		rank, next = next, rank
-		if diff < o.Tol {
+		if diff < tol {
 			break
 		}
 	}

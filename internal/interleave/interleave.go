@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -34,7 +35,6 @@ type Edge struct {
 type Product struct {
 	instances []flow.Instance
 	tuples    [][]int // tuples[i] = component state per instance
-	index     map[string]int
 	init      []int
 	stop      []int
 	out       [][]Edge
@@ -141,10 +141,11 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 	p := &Product{
 		instances: instances,
 		tuples:    make([][]int, 0, n),
-		index:     make(map[string]int, n),
 		out:       make([][]Edge, 0, n),
 		obs:       reg,
 	}
+	// index interns tuples during the build only; the Product keeps none.
+	index := make(map[string]int, n)
 
 	// Seed with the cross product of component initial states. Initial
 	// states are never atomic (flow.Builder enforces it), so every seed
@@ -163,7 +164,7 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 		seeds = next
 	}
 	for _, t := range seeds {
-		p.init = append(p.init, p.intern(t))
+		p.init = append(p.init, p.intern(index, t))
 	}
 
 	// BFS over reachable product states. Admit's count is exact, so the
@@ -190,7 +191,7 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 				succ := make([]int, len(tuple))
 				copy(succ, tuple)
 				succ[i] = e.To
-				v := p.intern(succ)
+				v := p.intern(index, succ)
 				p.out[head] = append(p.out[head], Edge{To: v, Inst: i, FlowEdge: ei})
 				p.numEdges++
 			}
@@ -227,13 +228,15 @@ func NewObserved(instances []flow.Instance, reg *obs.Registry) (*Product, error)
 // when the product is unobserved).
 func (p *Product) Obs() *obs.Registry { return p.obs }
 
-func (p *Product) intern(tuple []int) int {
+// intern returns tuple's state id, adding it as a new state when index
+// has not seen it.
+func (p *Product) intern(index map[string]int, tuple []int) int {
 	k := key(tuple)
-	if id, ok := p.index[k]; ok {
+	if id, ok := index[k]; ok {
 		return id
 	}
 	id := len(p.tuples)
-	p.index[k] = id
+	index[k] = id
 	p.tuples = append(p.tuples, tuple)
 	p.out = append(p.out, nil)
 	return id
@@ -280,13 +283,12 @@ func (p *Product) StateName(u int) string {
 }
 
 // FindState returns the product state with the given component tuple, or
-// -1 if that tuple is unreachable or illegal.
+// -1 if that tuple is unreachable or illegal. It scans the states.
 func (p *Product) FindState(tuple []int) int {
-	if len(tuple) != len(p.instances) {
-		return -1
-	}
-	if id, ok := p.index[key(tuple)]; ok {
-		return id
+	for id, t := range p.tuples {
+		if slices.Equal(t, tuple) {
+			return id
+		}
 	}
 	return -1
 }

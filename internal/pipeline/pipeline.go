@@ -166,14 +166,13 @@ func (s *Session) SelectContext(ctx context.Context, cfg core.Config) (*core.Res
 // a capacity evicts the least-recently-used session once full; capacity
 // zero means unbounded (the Default cache's mode).
 type Cache struct {
-	mu        sync.Mutex
-	sessions  map[string]*list.Element
-	order     *list.List // front = least recently used
-	capacity  int
-	obs       *obs.Registry
-	hits      int
-	misses    int
-	evictions int
+	mu       sync.Mutex
+	sessions map[string]*list.Element
+	order    *list.List // front = least recently used
+	capacity int
+	obs      *obs.Registry
+	hits     int
+	misses   int
 }
 
 type cacheEntry struct {
@@ -231,7 +230,6 @@ func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 		lru := c.order.Front()
 		c.order.Remove(lru)
 		delete(c.sessions, lru.Value.(*cacheEntry).fp)
-		c.evictions++
 		c.obs.Counter("pipeline.cache.evictions").Inc()
 	}
 	c.obs.Gauge("pipeline.cache.size").Set(int64(c.order.Len()))
@@ -254,14 +252,6 @@ func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Evictions returns how many sessions the cache has evicted to stay
-// within its capacity (always zero for unbounded caches).
-func (c *Cache) Evictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }
 
 // Len returns the number of cached sessions.

@@ -2,8 +2,9 @@
 // behind SRR-based trace-signal selection (Basu-Mishra's SigSeT and
 // friends): given the recorded values of a small set of traced flip-flops,
 // it reconstructs as many untraced flip-flop values as three-valued
-// forward propagation and backward justification allow, across all time
-// frames, and reports the State Restoration Ratio.
+// forward propagation across gates and both-way propagation across
+// flip-flops allow, across all time frames, and reports the State
+// Restoration Ratio.
 //
 // The paper's argument (§5.4) is that maximizing this ratio optimizes for
 // the wrong thing at the application level; this package exists so that
@@ -63,27 +64,12 @@ type Result struct {
 	Sweeps int
 }
 
-// Options tunes the restoration engine.
-type Options struct {
-	// Backward enables full combinational backward justification. Typical
-	// SRR tooling propagates forward across gates and both directions
-	// across flip-flops but justifies gate inputs only opportunistically;
-	// full backward justification is substantially more powerful (it can
-	// decode primary-input streams through XOR relations) and
-	// correspondingly more expensive. Off by default.
-	Backward bool
-}
-
 // Restore reconstructs the design state over the trace's cycles given that
-// the flip-flops in traced were recorded every cycle, using the default
-// (forward + sequential) engine. Primary inputs are not observable. It
-// returns an error if traced contains a non-flip-flop net.
+// the flip-flops in traced were recorded every cycle. Values propagate
+// forward across gates and both ways across flip-flops, the way typical
+// SRR tooling restores. Primary inputs are not observable. It returns an
+// error if traced contains a non-flip-flop net.
 func Restore(t *netlist.Trace, traced []int) (*Result, error) {
-	return RestoreWith(t, traced, Options{})
-}
-
-// RestoreWith is Restore with explicit engine options.
-func RestoreWith(t *netlist.Trace, traced []int, opts Options) (*Result, error) {
 	n := t.Netlist
 	isFF := make(map[int]bool, len(n.FFs()))
 	for _, ff := range n.FFs() {
@@ -139,9 +125,6 @@ func RestoreWith(t *netlist.Trace, traced []int, opts Options) (*Result, error) 
 					}
 				default:
 					if set(c, id, forward(g, vals[c])) {
-						changed = true
-					}
-					if opts.Backward && backward(g, vals[c], id) {
 						changed = true
 					}
 				}
@@ -237,93 +220,4 @@ func invertIf(cond bool, v TV) TV {
 		return invert(v)
 	}
 	return v
-}
-
-// backward justifies a combinational gate's inputs from a known output.
-// It returns true if any input value was learned.
-func backward(g netlist.Gate, row []TV, out int) bool {
-	o := row[out]
-	if o == X {
-		return false
-	}
-	learn := func(id int, v TV) bool {
-		if row[id] == X {
-			row[id] = v
-			return true
-		}
-		return false
-	}
-	switch g.Kind {
-	case netlist.Buf:
-		return learn(g.Ins[0], o)
-	case netlist.Not:
-		return learn(g.Ins[0], invert(o))
-	case netlist.And, netlist.Nand:
-		eff := invertIf(g.Kind == netlist.Nand, o)
-		if eff == T {
-			// All inputs must be 1.
-			changed := false
-			for _, u := range g.Ins {
-				changed = learn(u, T) || changed
-			}
-			return changed
-		}
-		// Output 0: if exactly one input unknown and the rest 1, it is 0.
-		return justifySingle(g.Ins, row, T, F)
-	case netlist.Or, netlist.Nor:
-		eff := invertIf(g.Kind == netlist.Nor, o)
-		if eff == F {
-			changed := false
-			for _, u := range g.Ins {
-				changed = learn(u, F) || changed
-			}
-			return changed
-		}
-		return justifySingle(g.Ins, row, F, T)
-	case netlist.Xor:
-		// If all but one input known, the unknown is determined.
-		unknown := -1
-		acc := o
-		for _, u := range g.Ins {
-			switch row[u] {
-			case X:
-				if unknown >= 0 {
-					return false
-				}
-				unknown = u
-			case T:
-				acc = invert(acc)
-			}
-		}
-		if unknown < 0 {
-			return false
-		}
-		return learn(unknown, acc)
-	default:
-		return false
-	}
-}
-
-// justifySingle: if exactly one input is X and every other input equals
-// others, the unknown input must be forced (for AND-0 / OR-1 side cases).
-func justifySingle(ins []int, row []TV, others, forced TV) bool {
-	unknown := -1
-	for _, u := range ins {
-		switch row[u] {
-		case X:
-			if unknown >= 0 {
-				return false
-			}
-			unknown = u
-		case others:
-			// consistent
-		default:
-			return false // output already explained by this input
-		}
-	}
-	if unknown < 0 {
-		return false
-	}
-	row[unknown] = forced
-	return true
 }

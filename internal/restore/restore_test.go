@@ -69,42 +69,35 @@ func TestShiftRegisterRestoresFromOneTap(t *testing.T) {
 
 // Restored values must never contradict the ground-truth simulation.
 func TestRestorationSoundness(t *testing.T) {
-	for _, backward := range []bool{false, true} {
-		n, ffs := shiftChain(t, 8)
-		tr := netlist.Record(n, 32, 9)
-		res, err := RestoreWith(tr, []int{ffs[2], ffs[6]}, Options{Backward: backward})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < tr.Cycles(); c++ {
-			for id := 0; id < n.N(); id++ {
-				v := res.Values[c][id]
-				if v == X {
-					continue
-				}
-				if (v == T) != tr.Values[c][id] {
-					t.Fatalf("backward=%v: net %s cycle %d restored %v, truth %v",
-						backward, n.Name(id), c, v, tr.Values[c][id])
-				}
+	n, ffs := shiftChain(t, 8)
+	tr := netlist.Record(n, 32, 9)
+	res, err := Restore(tr, []int{ffs[2], ffs[6]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < tr.Cycles(); c++ {
+		for id := 0; id < n.N(); id++ {
+			v := res.Values[c][id]
+			if v == X {
+				continue
+			}
+			if (v == T) != tr.Values[c][id] {
+				t.Fatalf("net %s cycle %d restored %v, truth %v", n.Name(id), c, v, tr.Values[c][id])
 			}
 		}
 	}
 }
 
-// XOR through an unobservable input is opaque forward-only but decodable
-// with full backward justification when the other operand and output are
-// known.
-func TestBackwardJustificationPower(t *testing.T) {
+// An XOR with an unobservable operand stays unknown: m latches q XOR in,
+// and tracing q alone never reveals in.
+func TestXorWithUnknownInputStaysUnknown(t *testing.T) {
 	b := netlist.NewBuilder()
 	in := b.Input("in")
 	in2 := b.Input("in2")
-	// q latches a two-unknown XOR: tracing q reveals the XOR's value but
-	// (without combinational backward justification) not the inputs.
 	q := b.DFF("q")
 	b.Connect(q, b.Gate("g", netlist.Xor, in, in2))
-	mix := b.Gate("mix", netlist.Xor, q, in)
 	m := b.DFF("m")
-	b.Connect(m, mix)
+	b.Connect(m, b.Gate("mix", netlist.Xor, q, in))
 	n, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -112,32 +105,14 @@ func TestBackwardJustificationPower(t *testing.T) {
 	tr := netlist.Record(n, 24, 3)
 	qid, _ := n.NetID("q")
 	mid, _ := n.NetID("m")
-
-	fwd, err := RestoreWith(tr, []int{qid}, Options{})
+	res, err := Restore(tr, []int{qid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bwd, err := RestoreWith(tr, []int{qid, mid}, Options{Backward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forward-only with q traced: m is unknown (XOR with unknown input).
 	for c := 2; c < tr.Cycles(); c++ {
-		if fwd.Values[c][mid] != X {
-			t.Fatalf("m known forward-only at cycle %d", c)
+		if res.Values[c][mid] != X {
+			t.Fatalf("m known at cycle %d with only q traced", c)
 		}
-	}
-	// With both traced and backward on, the input becomes known at inner
-	// cycles (m@c+1 = q@c ^ in@c and q@c+1 = in@c).
-	inid, _ := n.NetID("in")
-	known := 0
-	for c := 0; c < tr.Cycles()-1; c++ {
-		if bwd.Values[c][inid] != X {
-			known++
-		}
-	}
-	if known < tr.Cycles()/2 {
-		t.Errorf("backward decoded input at only %d cycles", known)
 	}
 }
 
@@ -214,106 +189,6 @@ func TestSRRDefinition(t *testing.T) {
 	}
 	if res.SRR != 1 {
 		t.Errorf("SRR = %g, want 1", res.SRR)
-	}
-}
-
-// Backward justification across every gate kind: each sub-test builds
-// q_in -> gate -> q_out, traces both flip-flops (so the gate's output and
-// one input are known), and checks what the engine learns about the
-// hidden primary input feeding the gate's other pin.
-func TestBackwardJustificationPerGate(t *testing.T) {
-	build := func(kind netlist.Kind) (*netlist.Netlist, int, int, int) {
-		b := netlist.NewBuilder()
-		hidden := b.Input("hidden")
-		drive := b.Input("drive")
-		qin := b.DFF("qin") // makes `drive` visible via sequential backward
-		b.Connect(qin, drive)
-		var g int
-		switch kind {
-		case netlist.Not, netlist.Buf:
-			g = b.Gate("g", kind, hidden)
-		default:
-			g = b.Gate("g", kind, qin, hidden)
-		}
-		qout := b.DFF("qout")
-		b.Connect(qout, g)
-		n, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qi, _ := n.NetID("qin")
-		qo, _ := n.NetID("qout")
-		hid, _ := n.NetID("hidden")
-		return n, qi, qo, hid
-	}
-	kinds := []netlist.Kind{
-		netlist.And, netlist.Or, netlist.Xor, netlist.Nand, netlist.Nor,
-		netlist.Not, netlist.Buf,
-	}
-	for _, kind := range kinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			n, qi, qo, hid := build(kind)
-			tr := netlist.Record(n, 40, int64(kind))
-			res, err := RestoreWith(tr, []int{qi, qo}, Options{Backward: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			learned := 0
-			for c := 0; c < tr.Cycles()-1; c++ {
-				v := res.Values[c][hid]
-				if v == X {
-					continue
-				}
-				learned++
-				if (v == T) != tr.Values[c][hid] {
-					t.Fatalf("cycle %d: learned %v, truth %v", c, v, tr.Values[c][hid])
-				}
-			}
-			// Every gate justifies its hidden input at least some of the
-			// time (AND when output is 1 or the other input is 1 with
-			// output 0; XOR/NOT/BUF always; ...).
-			if learned == 0 {
-				t.Errorf("backward justification through %v learned nothing", kind)
-			}
-		})
-	}
-}
-
-// Multi-input backward corner: an AND-0 output with two unknown inputs
-// must not be justified (either could be the 0).
-func TestBackwardAmbiguousNotJustified(t *testing.T) {
-	b := netlist.NewBuilder()
-	h1 := b.Input("h1")
-	h2 := b.Input("h2")
-	g := b.Gate("g", netlist.And, h1, h2)
-	q := b.DFF("q")
-	b.Connect(q, g)
-	n, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := netlist.Record(n, 40, 17)
-	qid, _ := n.NetID("q")
-	res, err := RestoreWith(tr, []int{qid}, Options{Backward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1id, _ := n.NetID("h1")
-	h2id, _ := n.NetID("h2")
-	for c := 0; c < tr.Cycles()-1; c++ {
-		// q@c+1 known. If it is 1, both inputs must be justified 1; if 0,
-		// neither may be guessed.
-		out := res.Values[c+1][qid]
-		v1, v2 := res.Values[c][h1id], res.Values[c][h2id]
-		if out == T {
-			if v1 != T || v2 != T {
-				t.Fatalf("cycle %d: AND output 1 did not justify both inputs (%v, %v)", c, v1, v2)
-			}
-		} else if out == F {
-			if v1 != X || v2 != X {
-				t.Fatalf("cycle %d: ambiguous AND-0 guessed an input (%v, %v)", c, v1, v2)
-			}
-		}
 	}
 }
 

@@ -30,10 +30,6 @@ type SigSeTConfig struct {
 	Cycles int
 	// Seed drives the sample trace's pseudo-random stimulus.
 	Seed int64
-	// Restore tunes the restoration engine used for scoring (default:
-	// forward propagation plus sequential crossings, like typical SRR
-	// tooling).
-	Restore restore.Options
 }
 
 // SigSeT selects flip-flops by greedy marginal restorability: each round
@@ -55,7 +51,7 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 	trace := netlist.Record(n, cfg.Cycles, cfg.Seed)
 
 	score := func(sel []int) (int, error) {
-		res, err := restore.RestoreWith(trace, sel, cfg.Restore)
+		res, err := restore.Restore(trace, sel)
 		if err != nil {
 			return 0, err
 		}
@@ -112,8 +108,6 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 type PRNetConfig struct {
 	// Budget is the number of flip-flops to select.
 	Budget int
-	// Options tunes the PageRank iteration.
-	Options graph.PageRankOptions
 }
 
 // PRNet selects the flip-flops with the highest PageRank over the
@@ -136,7 +130,7 @@ func PRNet(n *netlist.Netlist, cfg PRNetConfig) ([]int, error) {
 			rev.AddEdge(v, u)
 		}
 	}
-	rank := rev.PageRank(cfg.Options)
+	rank := rev.PageRank()
 	order := append([]int(nil), ffs...)
 	sort.SliceStable(order, func(i, j int) bool {
 		if rank[order[i]] != rank[order[j]] {

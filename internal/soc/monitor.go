@@ -12,20 +12,16 @@ import (
 // of the paper's Figure 4, which turn RTL signal activity into flow
 // messages and write them to an output trace file.
 type Monitor struct {
-	plan    *tbuf.CapturePlan
-	buf     *tbuf.Buffer
-	w       io.Writer // optional textual trace file
-	seen    int
-	trigger Trigger
-	armed   bool
-	stopped bool
+	plan *tbuf.CapturePlan
+	buf  *tbuf.Buffer
+	w    io.Writer // optional textual trace file
+	seen int
 }
 
 // NewMonitor returns a monitor recording into buf under plan. If w is
 // non-nil every captured entry is also written to it as a trace-file line.
-// Capture is unqualified until SetTrigger installs a trigger.
 func NewMonitor(plan *tbuf.CapturePlan, buf *tbuf.Buffer, w io.Writer) *Monitor {
-	return &Monitor{plan: plan, buf: buf, w: w, armed: true}
+	return &Monitor{plan: plan, buf: buf, w: w}
 }
 
 // Observe inspects one event and records it if the plan captures its
@@ -33,9 +29,6 @@ func NewMonitor(plan *tbuf.CapturePlan, buf *tbuf.Buffer, w io.Writer) *Monitor 
 // interface the monitor watches.
 func (m *Monitor) Observe(ev Event) error {
 	if ev.Dropped {
-		return nil
-	}
-	if !m.observeQualified(ev) {
 		return nil
 	}
 	entry, ok := m.plan.Capture(ev.Msg, ev.Data)
@@ -68,51 +61,3 @@ func (m *Monitor) Captured() int { return m.seen }
 
 // Buffer returns the trace buffer the monitor records into.
 func (m *Monitor) Buffer() *tbuf.Buffer { return m.buf }
-
-// Trigger qualifies capture the way real trace units do: recording is
-// armed when the start condition is seen and disarmed at the stop
-// condition, so the buffer spends its depth on the window of interest.
-type Trigger struct {
-	// Start arms capture when a message with this name is delivered
-	// (empty = armed from the beginning).
-	Start string
-	// Stop disarms capture when seen, after capturing it if it is in the
-	// plan (empty = never disarms).
-	Stop string
-	// Rearm re-enables the start trigger after a stop, capturing every
-	// window rather than only the first.
-	Rearm bool
-}
-
-// SetTrigger installs a capture qualification on the monitor. It must be
-// called before events are observed.
-func (m *Monitor) SetTrigger(t Trigger) {
-	m.trigger = t
-	m.armed = t.Start == ""
-	m.stopped = false
-}
-
-// observeQualified applies the trigger state machine; it reports whether
-// the event should be captured.
-func (m *Monitor) observeQualified(ev Event) bool {
-	if m.stopped {
-		return false
-	}
-	if !m.armed {
-		if m.trigger.Start != "" && ev.Msg.Name == m.trigger.Start {
-			m.armed = true
-		} else {
-			return false
-		}
-	}
-	if m.trigger.Stop != "" && ev.Msg.Name == m.trigger.Stop {
-		// Capture the stop event itself, then disarm.
-		if m.trigger.Rearm {
-			m.armed = m.trigger.Start == ""
-		} else {
-			m.stopped = true
-		}
-		return true
-	}
-	return true
-}

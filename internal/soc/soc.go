@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
@@ -278,9 +279,11 @@ type slotTable struct {
 
 // newSlots fills each instance's slot list. Names are interned once per
 // distinct flow and hashed once per name; launches are visited by index,
-// so the launches that share an index, and with it their slots, are
-// adjacent. total is the launches' summed message-table sizes.
-func newSlots(insts []instance, total int) *slotTable {
+// then flow name, so the launches that share an index, and with it their
+// slots, are adjacent, and so are two launches of one flow name at one
+// index, which Definition 4 forbids. total is the launches' summed
+// message-table sizes.
+func newSlots(insts []instance, total int) (*slotTable, error) {
 	arena := make([]int32, total)
 	names := make(map[string]int32)
 	flowNames := make(map[*flow.Flow][]int32)
@@ -295,18 +298,26 @@ func newSlots(insts []instance, total int) *slotTable {
 	for i := range byIndex {
 		byIndex[i] = int32(i)
 	}
-	slices.SortFunc(byIndex, func(a, b int32) int { return cmp.Compare(insts[a].launch.Index, insts[b].launch.Index) })
+	slices.SortFunc(byIndex, func(a, b int32) int {
+		la, lb := insts[a].launch, insts[b].launch
+		if c := cmp.Compare(la.Index, lb.Index); c != 0 {
+			return c
+		}
+		return strings.Compare(la.Flow.Name(), lb.Flow.Name())
+	})
 	t := &slotTable{prefix: make([]uint64, 0, total)}
 	group := int32(0)
 	var buf [20]byte
 	digits := buf[:0] // the group's index, as fmt's %d writes it
 	for k, i := range byIndex {
 		in := &insts[i]
+		f := in.launch.Flow
 		if k == 0 || in.launch.Index != insts[byIndex[k-1]].launch.Index {
 			group++
 			digits = strconv.AppendInt(digits[:0], int64(in.launch.Index), 10)
+		} else if f.Name() == insts[byIndex[k-1]].launch.Flow.Name() {
+			return nil, errors.New("soc: launches are not legally indexed (Definition 4)")
 		}
-		f := in.launch.Flow
 		nameIDs, ok := flowNames[f]
 		if !ok {
 			nameIDs = make([]int32, f.NumMessages())
@@ -332,7 +343,7 @@ func newSlots(insts []instance, total int) *slotTable {
 		}
 	}
 	t.occ = make([]int, len(t.prefix))
-	return t
+	return t, nil
 }
 
 // poisonMask is the payload perturbation a poisoned instance applies to
@@ -358,26 +369,25 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	if len(sc.Launches) == 0 {
 		return nil, errors.New("soc: scenario has no launches")
 	}
-	insts := make([]flow.Instance, len(sc.Launches))
-	for i, l := range sc.Launches {
-		insts[i] = flow.Instance{Flow: l.Flow, Index: l.Index}
-	}
-	if !flow.LegallyIndexed(insts) {
-		return nil, errors.New("soc: launches are not legally indexed (Definition 4)")
-	}
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
 	run := make([]instance, len(sc.Launches))
 	msgs := 0
 	for i, l := range sc.Launches {
-		if len(l.Flow.Init()) != 1 {
-			return nil, fmt.Errorf("soc: flow %q must have exactly one initial state", l.Flow.Name())
-		}
-		run[i] = instance{launch: l, state: l.Flow.Init()[0], readyAt: l.Start}
+		run[i] = instance{launch: l, readyAt: l.Start}
 		msgs += l.Flow.NumMessages()
 	}
-	slots := newSlots(run, msgs)
+	slots, err := newSlots(run, msgs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range run {
+		f := run[i].launch.Flow
+		if len(f.Init()) != 1 {
+			return nil, fmt.Errorf("soc: flow %q must have exactly one initial state", f.Name())
+		}
+		run[i].state = f.Init()[0]
+	}
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	var seedBuf [21]byte
 	seed := seedSuffix(seedBuf[:0], cfg.Seed)
 

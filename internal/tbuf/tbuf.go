@@ -8,7 +8,6 @@ package tbuf
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"tracescale/internal/flow"
 )
@@ -81,19 +80,6 @@ func (b *Buffer) Len() int { return len(b.entries) }
 
 // Total returns the number of entries ever recorded.
 func (b *Buffer) Total() int { return b.total }
-
-// Overflowed reports whether any entry has been evicted.
-func (b *Buffer) Overflowed() bool { return b.total > b.depth }
-
-// Dump renders the surviving entries as a textual trace file.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for _, e := range b.Entries() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
 
 // Rule describes how one message is captured: Bits of its Width, starting
 // at bit Offset. Bits == Width captures the full message (a Step-2
