@@ -17,6 +17,11 @@
 // order in which runs happen to finish. Wall time appears only in
 // observability metrics, never in the Report.
 //
+// Each grid point reads one math/rand stream seeded by DerivedSeed
+// (prng.Stream): its golden run, its buggy run and each of its debugging
+// sessions read the stream from its start, so each draws what a source of
+// its own seeded alike would give it, and the point seeds one source.
+//
 // # Isolation
 //
 // Each grid point executes in its own goroutine: a panicking run is
@@ -31,8 +36,10 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,6 +49,7 @@ import (
 	"tracescale/internal/flow"
 	"tracescale/internal/inject"
 	"tracescale/internal/obs"
+	"tracescale/internal/prng"
 	"tracescale/internal/soc"
 )
 
@@ -251,13 +259,16 @@ func (s *Spec) validate() error {
 			if !seen[name] {
 				return fmt.Errorf("campaign: scenario %q declares ambiguity for %q, not a declared set", scn.Name, name)
 			}
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				return fmt.Errorf("campaign: scenario %q set %q ambiguity %g is not finite", scn.Name, name, a)
+			}
 			if a < 1 {
 				return fmt.Errorf("campaign: scenario %q set %q ambiguity %g below 1 is impossible", scn.Name, name, a)
 			}
 		}
 		if si == 0 {
 			setNames = names
-		} else if fmt.Sprint(names) != fmt.Sprint(setNames) {
+		} else if !slices.Equal(names, setNames) {
 			return fmt.Errorf("campaign: scenario %q declares sets %v, want %v (every scenario must score the same sets in the same order)",
 				scn.Name, names, setNames)
 		}
@@ -457,11 +468,14 @@ func (s *Spec) baseRecord(idx int, pt point) RunRecord {
 
 // execute is one full run: golden and buggy simulations at the derived
 // seed, one diff of the pair, then one observation + debugging session per
-// message set.
+// message set. The runs and the sessions read one stream of the seed, each
+// from its start, so the point seeds one source; the stream belongs to
+// this call, so an abandoned attempt never shares it with its retry.
 func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunRecord {
 	rec := s.baseRecord(idx, pt)
 	sc := soc.Scenario{Name: scn.Name, Launches: scn.Launches}
-	cfg := soc.Config{Seed: rec.Seed, MaxCycles: s.MaxCycles}
+	stream := prng.New(rec.Seed)
+	cfg := soc.Config{Seed: rec.Seed, MaxCycles: s.MaxCycles, Stream: stream}
 	golden, err := soc.Run(sc, cfg)
 	if err != nil {
 		rec.Outcome = OutcomeError
@@ -486,7 +500,7 @@ func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunReco
 	}
 	diff := debugger.NewDiff(golden, buggy)
 	for k, set := range scn.Sets {
-		score, err := scoreSet(set.Name, s.scorers[pt.si][k], bug, diff, rec.Seed)
+		score, err := scoreSet(set.Name, s.scorers[pt.si][k], bug, diff, stream)
 		if err != nil {
 			rec.Outcome = OutcomeError
 			rec.Detail = fmt.Sprintf("set %q: %v", set.Name, err)
@@ -506,8 +520,8 @@ func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunReco
 // surviving plausible cause names the injected bug's IP, and Depth is the
 // 1-based index of the last investigation step that still eliminated a
 // cause (how deep the narration went before the cause set stopped
-// shrinking).
-func scoreSet(name string, sc scorer, bug inject.Bug, diff *debugger.Diff, seed int64) (RunScore, error) {
+// shrinking). The session reads stream from its start.
+func scoreSet(name string, sc scorer, bug inject.Bug, diff *debugger.Diff, stream *prng.Stream) (RunScore, error) {
 	o := diff.Observation(sc.traced)
 	score := RunScore{Set: name, Detected: len(o.AffectedMessages()) > 0}
 	if len(o.Symptoms) == 0 {
@@ -516,7 +530,7 @@ func scoreSet(name string, sc scorer, bug inject.Bug, diff *debugger.Diff, seed 
 	if sc.err != nil {
 		return score, sc.err
 	}
-	rep, err := sc.plan.Debug(o, seed)
+	rep, err := sc.plan.Debug(o, stream.Rand())
 	if err != nil {
 		return score, err
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -213,10 +214,22 @@ func TestCampaignValidation(t *testing.T) {
 		{"impossible ambiguity", mutate(func(s *Spec) {
 			s.Scenarios[0].Ambiguity = map[string]float64{"all": 0.5}
 		}), "below 1 is impossible"},
+		{"NaN ambiguity", mutate(func(s *Spec) {
+			s.Scenarios[0].Ambiguity = map[string]float64{"all": math.NaN()}
+		}), "not finite"},
+		{"infinite ambiguity", mutate(func(s *Spec) {
+			s.Scenarios[0].Ambiguity = map[string]float64{"all": math.Inf(1)}
+		}), "not finite"},
 		{"set mismatch", mutate(func(s *Spec) {
 			scn2 := testScenario(t, "t2", 6)
 			scn2.Sets = scn2.Sets[:1]
 			s.Scenarios = append(s.Scenarios, scn2)
+		}), "same sets in the same order"},
+		// Printed with spaces between them, the names "all" and "aonly"
+		// read like the one name "all aonly".
+		{"set names joined by a space", mutate(func(s *Spec) {
+			s.Scenarios[0].Sets = []MessageSet{{Name: "all aonly", Traced: []string{"a1"}}}
+			s.Scenarios = append(s.Scenarios, testScenario(t, "t2", 6))
 		}), "same sets in the same order"},
 	}
 	for _, tc := range cases {

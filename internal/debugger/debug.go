@@ -302,7 +302,8 @@ func missingFrom(obs Observation, names []string) error {
 // paper's procedure: start with the traced message in which the bug
 // symptom is observed and backtrack through flow-adjacent traced messages;
 // each investigation eliminates contradicted causes and exonerates
-// well-behaved IP pairs. It compiles cfg's Plan and runs it at cfg.Seed.
+// well-behaved IP pairs. It compiles cfg's Plan and runs it on a source
+// seeded with cfg.Seed.
 func Debug(obs Observation, cfg Config) (*Report, error) {
 	p, checked, err := compile(cfg)
 	if err != nil {
@@ -311,20 +312,19 @@ func Debug(obs Observation, cfg Config) (*Report, error) {
 		}
 		return nil, err
 	}
-	return p.Debug(obs, cfg.Seed)
+	return p.Debug(obs, rand.New(rand.NewSource(cfg.Seed)))
 }
 
-// Debug runs the plan's session over an observation; seed drives the
+// Debug runs the plan's session over an observation; rng drives the
 // pseudo-random choice among equally attractive next messages (§5.6: "the
 // choice of which traced message to investigate is pseudo-random and
-// guided by the participating flows"). The observation must classify
-// every traced message.
-func (p *Plan) Debug(obs Observation, seed int64) (*Report, error) {
+// guided by the participating flows"), one Intn per step. The observation
+// must classify every traced message.
+func (p *Plan) Debug(obs Observation, rng *rand.Rand) (*Report, error) {
 	if err := missingFrom(obs, p.traced); err != nil {
 		return nil, err
 	}
 	n := len(p.names)
-	rng := rand.New(rand.NewSource(seed))
 	rep := &Report{
 		Steps:       make([]Step, 0, n),
 		TotalCauses: len(p.causes),

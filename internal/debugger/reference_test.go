@@ -13,6 +13,7 @@ import (
 	"tracescale/internal/flow"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
+	"tracescale/internal/prng"
 	"tracescale/internal/soc"
 )
 
@@ -349,10 +350,12 @@ func tracedMap(names []string) map[string]bool {
 	return m
 }
 
-// TestDiffAndPlanMatchReferenceT2 holds the campaign's path — one diff per
-// run pair, projected per set, and one plan per (scenario, set) — and the
-// Observe and Debug wrappers equal to the references on T2 scenarios 1-3,
-// every catalog bug the scenario carries, seeds 1-6 and every set.
+// TestDiffAndPlanMatchReferenceT2 holds the campaign's path — one stream
+// per seed read by both runs and every session, one diff per run pair,
+// projected per set, and one plan per (scenario, set) — and the Observe and
+// Debug wrappers equal to the references, which seed a source per session,
+// on T2 scenarios 1-3, every catalog bug the scenario carries, seeds 1-6
+// and every set.
 func TestDiffAndPlanMatchReferenceT2(t *testing.T) {
 	runs, debugged := 0, 0
 	for _, c := range t2Cases(t) {
@@ -368,11 +371,12 @@ func TestDiffAndPlanMatchReferenceT2(t *testing.T) {
 		sc := soc.Scenario{Name: c.s.Name, Launches: c.launches}
 		for _, bug := range c.bugs {
 			for seed := int64(1); seed <= 6; seed++ {
-				golden, err := soc.Run(sc, soc.Config{Seed: seed})
+				stream := prng.New(seed)
+				golden, err := soc.Run(sc, soc.Config{Seed: seed, Stream: stream})
 				if err != nil {
 					t.Fatal(err)
 				}
-				buggy, err := soc.Run(sc, soc.Config{Seed: seed, Injectors: []soc.Injector{bug}})
+				buggy, err := soc.Run(sc, soc.Config{Seed: seed, Injectors: []soc.Injector{bug}, Stream: stream})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -394,7 +398,7 @@ func TestDiffAndPlanMatchReferenceT2(t *testing.T) {
 					if wantErr != nil {
 						t.Fatalf("%s: reference: %v", where, wantErr)
 					}
-					gotRep, err := plans[k].Debug(got, seed)
+					gotRep, err := plans[k].Debug(got, stream.Rand())
 					if err != nil || !reflect.DeepEqual(gotRep, wantRep) {
 						t.Fatalf("%s: plan\n got %+v (%v)\nwant %+v", where, gotRep, err, wantRep)
 					}

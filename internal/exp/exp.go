@@ -16,6 +16,7 @@ import (
 	"tracescale/internal/obs"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
+	"tracescale/internal/prng"
 	"tracescale/internal/soc"
 )
 
@@ -98,7 +99,7 @@ type CaseRun struct {
 
 // RunCase executes one case study end to end: simulate golden and buggy
 // designs on the scenario workload, observe through the selected messages,
-// debug, and localize.
+// debug, and localize. Both runs and the session read one stream of seed.
 func RunCase(cs opensparc.CaseStudy, seed int64) (*CaseRun, error) {
 	sel, err := SelectScenario(cs.Scenario)
 	if err != nil {
@@ -108,11 +109,14 @@ func RunCase(cs opensparc.CaseStudy, seed int64) (*CaseRun, error) {
 		Name:     cs.Scenario.Name,
 		Launches: cs.Scenario.Launches(InstancesPerFlow, launchStride),
 	}
-	golden, err := soc.Run(sc, soc.Config{Seed: seed, Obs: obs.Default})
+	stream := prng.New(seed)
+	cfg := soc.Config{Seed: seed, Obs: obs.Default, Stream: stream}
+	golden, err := soc.Run(sc, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: case %d golden run: %w", cs.ID, err)
 	}
-	buggy, err := soc.Run(sc, soc.Config{Seed: seed, Injectors: inject.Injectors(cs.Bug()), Obs: obs.Default})
+	cfg.Injectors = inject.Injectors(cs.Bug())
+	buggy, err := soc.Run(sc, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: case %d buggy run: %w", cs.ID, err)
 	}
@@ -126,13 +130,16 @@ func RunCase(cs opensparc.CaseStudy, seed int64) (*CaseRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	report, err := debugger.Debug(obs, debugger.Config{
+	plan, err := debugger.Compile(debugger.Config{
 		Universe: cs.Scenario.Universe(),
 		Flows:    cs.Scenario.Flows(),
 		Traced:   sel.WP.TracedNames(),
 		Causes:   causes,
-		Seed:     seed,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("exp: case %d debug: %w", cs.ID, err)
+	}
+	report, err := plan.Debug(obs, stream.Rand())
 	if err != nil {
 		return nil, fmt.Errorf("exp: case %d debug: %w", cs.ID, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"tracescale/internal/inject"
 	"tracescale/internal/obs"
 	"tracescale/internal/opensparc"
+	"tracescale/internal/prng"
 	"tracescale/internal/soc"
 )
 
@@ -119,7 +120,9 @@ func Table5(seed int64) ([]Table5Row, error) {
 			uint64(i*7), launchStride)...)
 	}
 	sc := soc.Scenario{Name: "all-flows", Launches: launches}
-	golden, err := soc.Run(sc, soc.Config{Seed: seed, Obs: obs.Default})
+	// The golden run and every buggy run read one stream of seed.
+	cfg := soc.Config{Seed: seed, Obs: obs.Default, Stream: prng.New(seed)}
+	golden, err := soc.Run(sc, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: table 5 golden: %w", err)
 	}
@@ -131,7 +134,8 @@ func Table5(seed int64) ([]Table5Row, error) {
 	affecting := make(map[string][]int)
 	bugs := opensparc.Bugs()
 	for _, b := range bugs {
-		buggy, err := soc.Run(sc, soc.Config{Seed: seed, Injectors: inject.Injectors(b), Obs: obs.Default})
+		cfg.Injectors = inject.Injectors(b)
+		buggy, err := soc.Run(sc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: table 5 bug %d: %w", b.ID, err)
 		}

@@ -16,7 +16,9 @@
 // PRNG and message payloads are derived from (message, index, occurrence,
 // seed) hashes, so a golden and a buggy run can be diffed occurrence by
 // occurrence to decide which messages a bug affects (the paper's bug
-// coverage metric, Table 5).
+// coverage metric, Table 5). The runs of one seed may share one recorded
+// stream (Config.Stream) instead of seeding a source each; their draws are
+// the same.
 //
 // A run costs per event, not per instance. It numbers its (message name,
 // index) pairs densely once, hashing each pair's payload prefix once, so an
@@ -39,6 +41,7 @@ import (
 
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
+	"tracescale/internal/prng"
 )
 
 // Event is one message emission on an IP-pair interface.
@@ -179,6 +182,12 @@ type Config struct {
 	// nothing, because the metrics are aggregated from the Result once
 	// per run.
 	Obs *obs.Registry
+	// Stream, when set, is the run's PRNG: Run reads it from its start on
+	// every call, so the draws are those of rand.NewSource(Seed) and a
+	// Config can serve the golden and the buggy run of one seed, which then
+	// seed one source between them. Its seed must be Seed, which still
+	// drives the payload hash. Nil — the default — seeds a source per run.
+	Stream *prng.Stream
 }
 
 func (c Config) withDefaults() Config {
@@ -363,11 +372,14 @@ func poisonMask(f *flow.Flow, index int, width int, seed int64) uint64 {
 	return v
 }
 
-// Run executes the scenario. It fails on an empty scenario or illegally
-// indexed launches.
+// Run executes the scenario. It fails on an empty scenario, illegally
+// indexed launches, or a Stream seeded otherwise than Seed.
 func Run(sc Scenario, cfg Config) (*Result, error) {
 	if len(sc.Launches) == 0 {
 		return nil, errors.New("soc: scenario has no launches")
+	}
+	if cfg.Stream != nil && cfg.Stream.Seed() != cfg.Seed {
+		return nil, fmt.Errorf("soc: stream seed %d is not the run's seed %d", cfg.Stream.Seed(), cfg.Seed)
 	}
 	run := make([]instance, len(sc.Launches))
 	msgs := 0
@@ -387,7 +399,12 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		run[i].state = f.Init()[0]
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	var rng *rand.Rand
+	if cfg.Stream != nil {
+		rng = cfg.Stream.Rand()
+	} else {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	var seedBuf [21]byte
 	seed := seedSuffix(seedBuf[:0], cfg.Seed)
 

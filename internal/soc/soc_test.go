@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tracescale/internal/flow"
+	"tracescale/internal/prng"
 	"tracescale/internal/tbuf"
 )
 
@@ -333,6 +334,10 @@ func TestRunErrors(t *testing.T) {
 	sc = Scenario{Launches: []Launch{{Flow: f, Index: 1}, {Flow: f, Index: 2}, {Flow: g, Index: 1}}}
 	if _, err := Run(sc, Config{}); err == nil || !strings.Contains(err.Error(), "not legally indexed") {
 		t.Errorf("two %q flows at index 1: err = %v, want the illegal-indexing error", f.Name(), err)
+	}
+	// A stream replays its own seed's draws; Seed still drives the payloads.
+	if _, err := Run(ccScenario(2), Config{Seed: 3, Stream: prng.New(4)}); err == nil || !strings.Contains(err.Error(), "stream seed 4") {
+		t.Errorf("stream seeded 4 for a seed-3 run: err = %v, want the stream-seed error", err)
 	}
 }
 
