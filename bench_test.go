@@ -124,7 +124,7 @@ func scenario3Evaluator(b *testing.B) *tracescale.Evaluator {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := s.Interleaving()
+	p, err := interleave.New(s.Instances())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkInterleaveScenario3(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Interleaving(); err != nil {
+		if _, err := interleave.New(s.Instances()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkInterleaveScenario3(b *testing.B) {
 
 func BenchmarkEvaluatorScenario3(b *testing.B) {
 	s, _ := opensparc.ScenarioByID(3)
-	p, err := s.Interleaving()
+	p, err := interleave.New(s.Instances())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func BenchmarkTotalPaths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	t2, err := s.Interleaving()
+	t2, err := interleave.New(s.Instances())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func BenchmarkPairCount(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := s.Interleaving()
+	p, err := interleave.New(s.Instances())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 	b.Run("session", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := pipeline.NewCache()
+			c := pipeline.NewCacheObs(nil, 0)
 			for _, w := range widths {
 				ses, err := c.Session(s.Instances())
 				if err != nil {

@@ -61,7 +61,6 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
-	obs.Default.Expvar("tracescale")
 
 	any := false
 	step := func(err error) error {

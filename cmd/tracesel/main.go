@@ -177,7 +177,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := p.WriteDOT(f, nil, nil); err != nil {
+		if err := p.WriteDOT(f); err != nil {
 			f.Close()
 			return err
 		}

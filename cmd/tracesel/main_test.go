@@ -29,11 +29,14 @@ func toySpecPath(t *testing.T) string {
 // parsing, spec export, and the end-to-end selection render.
 func TestRunFlagHandling(t *testing.T) {
 	toy := toySpecPath(t)
+	dotDir := t.TempDir()
 	cases := []struct {
 		name    string
 		args    []string
 		wantErr string // "" = success; "usage" = errUsage; else substring
 		want    []string
+		// check, when set, inspects the files the run wrote.
+		check func(t *testing.T)
 	}{
 		{
 			name:    "no arguments prints usage",
@@ -77,6 +80,38 @@ func TestRunFlagHandling(t *testing.T) {
 			args: []string{"-spec", toy, "-width", "4", "-method", "knapsack", "-no-pack"},
 			want: []string{"buffer: 4 bits, method: knapsack"},
 		},
+		{
+			name: "dot-flows writes one file per flow",
+			args: []string{"-spec", toy, "-dot-flows", dotDir},
+			want: []string{"flow DOT files written to " + dotDir},
+			check: func(t *testing.T) {
+				out := readFile(t, filepath.Join(dotDir, "cachecoherence.dot"))
+				if !strings.Contains(out, `digraph "cachecoherence"`) {
+					t.Errorf("flow DOT is not the cachecoherence digraph:\n%s", out)
+				}
+			},
+		},
+		{
+			// The toy interleaving of two cache-coherence instances has
+			// 15 states and 18 edges.
+			name: "dot-product writes the interleaving",
+			args: []string{"-spec", toy, "-dot-product", filepath.Join(dotDir, "toy.dot")},
+			want: []string{"interleaving DOT written to " + filepath.Join(dotDir, "toy.dot")},
+			check: func(t *testing.T) {
+				states, edges := 0, 0
+				for _, line := range strings.Split(readFile(t, filepath.Join(dotDir, "toy.dot")), "\n") {
+					switch {
+					case strings.Contains(line, " -> "):
+						edges++
+					case strings.Contains(line, " [label="):
+						states++
+					}
+				}
+				if states != 15 || edges != 18 {
+					t.Errorf("interleaving DOT has %d state and %d edge lines, want 15 and 18", states, edges)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,8 +136,20 @@ func TestRunFlagHandling(t *testing.T) {
 					t.Errorf("output missing %q:\n%s", w, out.String())
 				}
 			}
+			if tc.check != nil {
+				tc.check(t)
+			}
 		})
 	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestExportSynthSelectsAtScale drives the README's 120-message

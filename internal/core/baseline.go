@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -17,27 +16,10 @@ import (
 // RandomBaseline returns a random width-feasible message combination:
 // messages are shuffled (seeded) and added while they fit.
 func RandomBaseline(e *Evaluator, budget int, seed int64) (Candidate, error) {
-	n := len(e.universe)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	order := e.universeOrder()
 	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	chosen := make([]bool, n)
-	left := budget
-	any := false
-	for _, i := range order {
-		if w := e.universe[i].TraceWidth(); w <= left {
-			chosen[i] = true
-			left -= w
-			any = true
-		}
-	}
-	if !any {
-		return Candidate{}, fmt.Errorf("core: no message fits in a %d-bit trace buffer", budget)
-	}
-	return e.candidateFromSet(chosen), nil
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return e.fill(order, budget)
 }
 
 // PageRankBaseline ranks messages by PageRank over the message dependency
@@ -60,10 +42,7 @@ func PageRankBaseline(e *Evaluator, budget int) (Candidate, error) {
 		}
 	}
 	rank := g.PageRank()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	order := e.universeOrder()
 	const eps = 1e-12
 	sort.SliceStable(order, func(a, b int) bool {
 		ra, rb := rank[order[a]], rank[order[b]]
@@ -75,30 +54,13 @@ func PageRankBaseline(e *Evaluator, budget int) (Candidate, error) {
 		}
 		return order[a] < order[b]
 	})
-	chosen := make([]bool, n)
-	left := budget
-	any := false
-	for _, i := range order {
-		if w := e.universe[i].TraceWidth(); w <= left {
-			chosen[i] = true
-			left -= w
-			any = true
-		}
-	}
-	if !any {
-		return Candidate{}, fmt.Errorf("core: no message fits in a %d-bit trace buffer", budget)
-	}
-	return e.candidateFromSet(chosen), nil
+	return e.fill(order, budget)
 }
 
 // WidestFirstBaseline adds messages in decreasing width while they fit —
 // prioritizing raw signal volume over information.
 func WidestFirstBaseline(e *Evaluator, budget int) (Candidate, error) {
-	n := len(e.universe)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	order := e.universeOrder()
 	sort.SliceStable(order, func(a, b int) bool {
 		wa, wb := e.universe[order[a]].TraceWidth(), e.universe[order[b]].TraceWidth()
 		if wa != wb {
@@ -106,18 +68,5 @@ func WidestFirstBaseline(e *Evaluator, budget int) (Candidate, error) {
 		}
 		return order[a] < order[b]
 	})
-	chosen := make([]bool, n)
-	left := budget
-	any := false
-	for _, i := range order {
-		if w := e.universe[i].TraceWidth(); w <= left {
-			chosen[i] = true
-			left -= w
-			any = true
-		}
-	}
-	if !any {
-		return Candidate{}, fmt.Errorf("core: no message fits in a %d-bit trace buffer", budget)
-	}
-	return e.candidateFromSet(chosen), nil
+	return e.fill(order, budget)
 }

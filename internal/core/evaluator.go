@@ -4,8 +4,8 @@
 // information gain over the interleaved flow, and Step 3 packs leftover
 // buffer bits with subgroups of wide messages. It also provides the
 // flow-specification-coverage metric (Definition 7) and scalable selection
-// variants (exact knapsack and lazy greedy) that exploit the additivity of
-// the paper's gain metric.
+// variants (exact knapsack and branch-and-bound, density greedy) that
+// exploit the additivity of the paper's gain metric.
 package core
 
 import (

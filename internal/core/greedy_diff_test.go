@@ -10,8 +10,96 @@ import (
 
 	"tracescale/internal/flow"
 	"tracescale/internal/interleave"
+	"tracescale/internal/opensparc"
 	"tracescale/internal/synth"
 )
+
+// refGreedy is the round-based density greedy Greedy replaced, kept as its
+// reference: each round evaluates the gain density of every unchosen
+// message that still fits and takes the best (strictly higher density
+// wins; ties keep the lowest universe index).
+func refGreedy(e *Evaluator, budget int) (Candidate, error) {
+	n := len(e.universe)
+	chosen := newBitset(n)
+	left := budget
+	any := false
+	for left > 0 {
+		bestAt := -1
+		bestDensity := 0.0
+		for i := 0; i < n; i++ {
+			if chosen.has(i) {
+				continue
+			}
+			w := e.widthOf[i]
+			if w > left {
+				continue
+			}
+			if d := e.gainOf[i] / float64(w); bestAt < 0 || d > bestDensity {
+				bestAt, bestDensity = i, d
+			}
+		}
+		if bestAt < 0 {
+			break
+		}
+		chosen.set(bestAt)
+		left -= e.widthOf[bestAt]
+		any = true
+	}
+	if !any {
+		return Candidate{}, errNothingFits(budget)
+	}
+	return e.candidateFromSet(chosen), nil
+}
+
+// checkGreedyMatchesRef holds Greedy equal to refGreedy on e at every
+// budget in [1, maxWidth]: the same Candidate, or the same error.
+func checkGreedyMatchesRef(t *testing.T, name string, e *Evaluator, maxWidth int) {
+	t.Helper()
+	for budget := 1; budget <= maxWidth; budget++ {
+		got, err := selectGreedy(e, budget)
+		want, wantErr := refGreedy(e, budget)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s budget %d: greedy %+v (err %v), round-based reference %+v (err %v)",
+				name, budget, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestGreedyMatchesRoundBasedReference holds the sort-once Greedy equal to
+// the round-based refGreedy on T2 scenarios 1-3 at widths 1-80, on random
+// synthetic universes at widths 1-40, and on universes whose gains are
+// doctored so that many messages tie on density exactly, where only the
+// universe-order tie-break separates them.
+func TestGreedyMatchesRoundBasedReference(t *testing.T) {
+	for _, s := range opensparc.Scenarios() {
+		e, err := Analyze(s.Instances(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGreedyMatchesRef(t, s.Name, e, 80)
+	}
+	rng := rand.New(rand.NewSource(20261019))
+	for trial := 0; trial < 60; trial++ {
+		insts, err := synth.Scenario(1+rng.Intn(3), synth.Params{
+			States: 3 + rng.Intn(4), Branch: rng.Float64() * 0.5, MaxWidth: 1 + rng.Intn(8), IPs: 3,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Analyze(insts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("synth trial %d", trial)
+		checkGreedyMatchesRef(t, name, e, 40)
+		// Exact density ties: gain = width × d with d drawn from a few
+		// dyadic values, so gain/width is exactly d.
+		for i := range e.gainOf {
+			e.gainOf[i] = float64(e.widthOf[i]) * []float64{0, 0.25, 0.5}[rng.Intn(3)]
+		}
+		checkGreedyMatchesRef(t, name+" (tied densities)", e, 40)
+	}
+}
 
 // TestGreedyVsExhaustiveDifferential pins greedy-vs-exhaustive agreement on
 // random small instances (<= 4 flows, budget <= 12): greedy's selection
@@ -51,6 +139,7 @@ func TestGreedyVsExhaustiveDifferential(t *testing.T) {
 		ex, _, exErr := selectExhaustive(context.Background(), e, Config{BufferWidth: budget, MaxCandidates: defaultMaxCandidates})
 		gr, grErr := selectGreedy(e, budget)
 		kn, knErr := selectKnapsack(e, budget)
+		checkGreedyMatchesRef(t, fmt.Sprintf("trial %d", trial), e, budget)
 		if exErr != nil {
 			// Nothing fits: every solver must agree on infeasibility.
 			if grErr == nil || knErr == nil {

@@ -152,9 +152,13 @@ func oracleSets(t *testing.T) []oracleSet {
 		sets = append(sets, oracleSet{fmt.Sprintf("synth-seed-%d", seed), insts})
 	}
 	for _, k := range []int{2, 4, 6} {
-		insts, err := synth.Replicated(k, synth.Params{States: 5, Branch: 0.3}, rand.New(rand.NewSource(int64(k))))
+		f, err := synth.Flow("rep", synth.Params{States: 5, Branch: 0.3}, rand.New(rand.NewSource(int64(k))))
 		if err != nil {
 			t.Fatal(err)
+		}
+		insts := make([]flow.Instance, k)
+		for i := range insts {
+			insts[i] = flow.Instance{Flow: f, Index: i + 1}
 		}
 		sets = append(sets, oracleSet{fmt.Sprintf("replicated-x%d", k), insts})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -21,8 +22,8 @@ type Config struct {
 	MaxCandidates int
 	// KeepCandidates retains every feasible candidate with its gain and
 	// coverage in Result.Candidates (needed for the Figure-5 correlation
-	// study). Only the Exhaustive method supports it (see Capabilities);
-	// Select rejects the combination for every other method.
+	// study). Only the Exhaustive method supports it; Select rejects the
+	// combination for every other method.
 	KeepCandidates bool
 	// Workers must be 0 or 1: every strategy searches serially on the
 	// caller's goroutine, and Select rejects Workers > 1. Both values
@@ -126,9 +127,9 @@ func Select(e *Evaluator, cfg Config) (*Result, error) {
 // core.select.cancelled on observed evaluators.
 //
 // The Step-2 strategy is resolved from the Method registry; the Config is
-// validated against the strategy's Capabilities first, so an option the
-// strategy cannot honor (KeepCandidates, Workers > 1) is an error rather
-// than silently ignored. A BufferWidth above MaxBufferWidth is refused.
+// validated first (ValidateConfig), so an option the strategy cannot honor
+// (KeepCandidates, Workers > 1) is an error rather than silently ignored.
+// A BufferWidth above MaxBufferWidth is refused.
 func SelectContext(ctx context.Context, e *Evaluator, cfg Config) (*Result, error) {
 	if cfg.BufferWidth < 1 {
 		return nil, fmt.Errorf("core: non-positive trace buffer width %d", cfg.BufferWidth)
@@ -219,31 +220,37 @@ func (e *Evaluator) stepWidth(budget int) int {
 // (memoized toy scenarios) to ~seconds (wide synthetic mask spaces).
 var selectWallBounds = []int64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
-// scored is a candidate combination identified by its enumeration mask,
-// carrying only the fields the betterScored tie-break needs. The full
-// Candidate (message names) is materialized once, for the winner, or for
-// every feasible mask when KeepCandidates asks for them.
-type scored struct {
-	mask     uint64
-	width    int
+// score is a candidate's objective: information gain first, coverage to
+// break gain ties.
+type score struct {
 	gain     float64
 	coverage float64
 }
 
-// betterScored reports whether candidate a should replace b: strictly
-// higher gain, or equal gain with strictly higher coverage. Equal-score
-// candidates keep the incumbent, so enumeration order (message declaration
-// order) breaks ties deterministically — this reproduces the paper's
-// choice of {ReqE, GntE} among the three gain-tied pairs of the toy
-// example.
-func betterScored(a, b scored) bool {
-	if a.gain > b.gain+scoreEps {
+// beats reports whether a candidate scoring s should replace one scoring
+// o: strictly higher gain, or equal gain with strictly higher coverage.
+// Equal scores keep the incumbent, so enumeration order (message
+// declaration order) breaks ties deterministically — this reproduces the
+// paper's choice of {ReqE, GntE} among the three gain-tied pairs of the
+// toy example.
+func (s score) beats(o score) bool {
+	if s.gain > o.gain+scoreEps {
 		return true
 	}
-	if a.gain < b.gain-scoreEps {
+	if s.gain < o.gain-scoreEps {
 		return false
 	}
-	return a.coverage > b.coverage+scoreEps
+	return s.coverage > o.coverage+scoreEps
+}
+
+// scored is a candidate combination identified by its enumeration mask,
+// carrying only the fields the score tie-break needs. The full Candidate
+// (message names) is materialized once, for the winner, or for every
+// feasible mask when KeepCandidates asks for them.
+type scored struct {
+	mask  uint64
+	width int
+	score
 }
 
 // cancelCheckMasks is how many masks (or search nodes) a scan processes
@@ -258,20 +265,61 @@ func errNothingFits(budget int) error {
 	return fmt.Errorf("core: no message fits in a %d-bit trace buffer", budget)
 }
 
-func (e *Evaluator) candidateFromSet(chosen []bool) Candidate {
-	var c Candidate
-	vis := e.newCover()
-	for i, on := range chosen {
-		if !on {
-			continue
+// fill takes each message of order, in turn, that still fits the budget:
+// the buffer fill that greedy and every ordered baseline share.
+func (e *Evaluator) fill(order []int, budget int) (Candidate, error) {
+	chosen := newBitset(len(e.universe))
+	left := budget
+	any := false
+	for _, i := range order {
+		if w := e.widthOf[i]; w <= left {
+			chosen.set(i)
+			left -= w
+			any = true
 		}
-		c.Messages = append(c.Messages, e.universe[i].Name)
-		c.Width += e.widthOf[i]
-		c.Gain += e.gainOf[i]
-		vis.or(e.visibleOf[i])
 	}
-	c.Coverage = e.coverage(vis)
+	if !any {
+		return Candidate{}, errNothingFits(budget)
+	}
+	return e.candidateFromSet(chosen), nil
+}
+
+// universeOrder returns the universe indices in ascending order, for an
+// ordered selector to sort or shuffle.
+func (e *Evaluator) universeOrder() []int {
+	order := make([]int, len(e.universe))
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// candidate materializes the Candidate for mask (bit i = universe[i]),
+// message names in ascending universe order.
+func (e *Evaluator) candidate(mask bitset, width int, s score) Candidate {
+	c := Candidate{Width: width, Gain: s.gain, Coverage: s.coverage}
+	for w, word := range mask {
+		for m := word; m != 0; m &= m - 1 {
+			c.Messages = append(c.Messages, e.universe[w*64+bits.TrailingZeros64(m)].Name)
+		}
+	}
 	return c
+}
+
+// candidateFromSet scores the messages of chosen, summing gains in
+// ascending universe order, and materializes their Candidate.
+func (e *Evaluator) candidateFromSet(chosen bitset) Candidate {
+	width, gain := 0, 0.0
+	vis := e.newCover()
+	for w, word := range chosen {
+		for m := word; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			width += e.widthOf[i]
+			gain += e.gainOf[i]
+			vis.or(e.visibleOf[i])
+		}
+	}
+	return e.candidate(chosen, width, score{gain: gain, coverage: e.coverage(vis)})
 }
 
 // pack is Step 3: fill the leftover buffer with message subgroups,

@@ -53,25 +53,15 @@ const (
 	Reconstruct
 )
 
-// Capabilities reports which Config options a Strategy honors. Select
-// rejects a Config that asks for an option its strategy cannot honor
-// instead of silently ignoring it.
-type Capabilities struct {
-	// KeepCandidates: the strategy can retain every feasible candidate in
-	// Result.Candidates.
-	KeepCandidates bool
-}
-
 // Strategy is one Step-2 search algorithm. Implementations are stateless;
 // all instance data lives in the Evaluator, all knobs in the Config (which
-// SelectContext has already validated against the strategy's Capabilities
-// and defaulted — BufferWidth ≥ 1, clamped to the universe's total trace
-// width, MaxCandidates > 0). Select runs on the caller's goroutine and
-// returns the winning Candidate and, when the strategy supports
-// KeepCandidates and the Config asks for it, every feasible candidate.
+// SelectContext has already validated and defaulted — BufferWidth ≥ 1,
+// clamped to the universe's total trace width, MaxCandidates > 0). Select
+// runs on the caller's goroutine and returns the winning Candidate and,
+// for Exhaustive when the Config asks for KeepCandidates, every feasible
+// candidate.
 type Strategy interface {
 	Name() string
-	Capabilities() Capabilities
 	Select(ctx context.Context, e *Evaluator, cfg Config) (best Candidate, all []Candidate, err error)
 }
 
@@ -106,15 +96,6 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Capabilities returns the registered strategy's capability report (the
-// zero Capabilities for an unregistered Method).
-func (m Method) Capabilities() Capabilities {
-	if s := m.strategy(); s != nil {
-		return s.Capabilities()
-	}
-	return Capabilities{}
-}
-
 // ParseMethod maps a method name (the String form) back to the Method —
 // the inverse the CLI flags and the serving layer share. The empty string
 // selects Exhaustive, the zero Config default. Parsing reads the registry,
@@ -131,15 +112,6 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("core: unknown method %q (have %s)", name, strings.Join(MethodNames(), ", "))
 }
 
-// Methods returns every registered Method in registry order.
-func Methods() []Method {
-	out := make([]Method, len(registry))
-	for i := range registry {
-		out[i] = Method(i)
-	}
-	return out
-}
-
 // MethodNames returns every registered strategy name in registry order —
 // the vocabulary CLI flag help and error messages print.
 func MethodNames() []string {
@@ -151,35 +123,22 @@ func MethodNames() []string {
 }
 
 // ValidateConfig rejects Config combinations no selection run could honor:
-// an unregistered Method, KeepCandidates against a strategy whose
-// Capabilities do not include it, or Workers > 1, since every strategy
-// searches serially. SelectContext validates every Config; the pipeline
-// session layer validates before its memo lookup so an invalid combination
-// can never be answered from cache (the memo key normalizes Workers away).
+// an unregistered Method, KeepCandidates against any method but
+// Exhaustive (the only one that enumerates candidates), or Workers > 1,
+// since every strategy searches serially. SelectContext validates every
+// Config; the pipeline session layer validates before its memo lookup so
+// an invalid combination can never be answered from cache (the memo key
+// normalizes Workers away).
 func ValidateConfig(cfg Config) error {
 	s := cfg.Method.strategy()
 	if s == nil {
 		return fmt.Errorf("core: unknown method %v", cfg.Method)
 	}
-	caps := s.Capabilities()
-	if cfg.KeepCandidates && !caps.KeepCandidates {
-		return fmt.Errorf("core: method %s does not support KeepCandidates (supported by: %s)",
-			s.Name(), strings.Join(methodNamesWhere(func(c Capabilities) bool { return c.KeepCandidates }), ", "))
+	if cfg.KeepCandidates && cfg.Method != Exhaustive {
+		return fmt.Errorf("core: method %s does not support KeepCandidates (supported by: %s)", s.Name(), Exhaustive)
 	}
 	if cfg.Workers > 1 {
 		return fmt.Errorf("core: method %s does not support Workers > 1: selection is serial", s.Name())
 	}
 	return nil
-}
-
-// methodNamesWhere lists the registered strategies whose Capabilities
-// satisfy pred, for ValidateConfig's error messages.
-func methodNamesWhere(pred func(Capabilities) bool) []string {
-	var out []string
-	for _, s := range registry {
-		if pred(s.Capabilities()) {
-			out = append(out, s.Name())
-		}
-	}
-	return out
 }

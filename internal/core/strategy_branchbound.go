@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // branchBoundStrategy is the exact lattice search. It never materializes
@@ -12,8 +11,6 @@ import (
 type branchBoundStrategy struct{}
 
 func (branchBoundStrategy) Name() string { return "branch-bound" }
-
-func (branchBoundStrategy) Capabilities() Capabilities { return Capabilities{} }
 
 func (branchBoundStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, err := selectBranchBound(ctx, e, cfg)
@@ -24,40 +21,9 @@ func (branchBoundStrategy) Select(ctx context.Context, e *Evaluator, cfg Config)
 // candidates in universes past the exhaustive scan's 63-message uint64
 // ceiling. The mask indexes universe positions (bit i = universe[i]).
 type wideScored struct {
-	mask     bitset
-	width    int
-	gain     float64
-	coverage float64
-}
-
-// wideBetter is betterScored on multi-word-mask candidates.
-func wideBetter(a, b wideScored) bool {
-	if a.gain > b.gain+scoreEps {
-		return true
-	}
-	if a.gain < b.gain-scoreEps {
-		return false
-	}
-	return a.coverage > b.coverage+scoreEps
-}
-
-// wideTie reports whether a and b are gain- and coverage-tied within the
-// comparison tolerance (neither is wideBetter than the other).
-func wideTie(a, b wideScored) bool {
-	return !wideBetter(a, b) && !wideBetter(b, a)
-}
-
-// candidateFromWide materializes the Candidate for a wide mask, message
-// names in ascending universe order (the same order candidateFromScored
-// produces).
-func (e *Evaluator) candidateFromWide(s wideScored) Candidate {
-	c := Candidate{Width: s.width, Gain: s.gain, Coverage: s.coverage}
-	for w, word := range s.mask {
-		for m := word; m != 0; m &= m - 1 {
-			c.Messages = append(c.Messages, e.universe[w*64+bits.TrailingZeros64(m)].Name)
-		}
-	}
-	return c
+	mask  bitset
+	width int
+	score
 }
 
 // bbSearch is one branch-and-bound search: the gain-density order and
@@ -129,8 +95,10 @@ func (s *bbSearch) consider() {
 			s.vis.or(s.e.visibleOf[i])
 		}
 	}
-	c := wideScored{width: width, gain: gain, coverage: s.e.coverage(s.vis)}
-	if !s.found || wideBetter(c, s.best) || (wideTie(c, s.best) && s.path.less(s.best.mask)) {
+	c := wideScored{width: width, score: score{gain: gain, coverage: s.e.coverage(s.vis)}}
+	// The third clause runs only when c does not beat the incumbent, so
+	// "the incumbent does not beat c either" is a full tie.
+	if !s.found || c.beats(s.best.score) || (!s.best.beats(c.score) && s.path.less(s.best.mask)) {
 		c.mask = s.path.clone()
 		s.best = c
 		s.found = true
@@ -190,22 +158,12 @@ func (s *bbSearch) dfs(ctx context.Context, pos, width int, pathGain float64) er
 // density ties keep ascending universe order), the budget and node cap,
 // and empty path and scratch bitsets.
 func newBBSearch(e *Evaluator, budget int, maxNodes int64) *bbSearch {
-	n := len(e.universe)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da := e.gainOf[order[a]] / float64(e.widthOf[order[a]])
-		db := e.gainOf[order[b]] / float64(e.widthOf[order[b]])
-		return da > db
-	})
 	return &bbSearch{
 		e:        e,
-		order:    order,
+		order:    e.densityOrder(),
 		budget:   budget,
 		maxNodes: maxNodes,
-		path:     newBitset(n),
+		path:     newBitset(len(e.universe)),
 		vis:      e.newCover(),
 	}
 }
@@ -247,5 +205,5 @@ func selectBranchBound(ctx context.Context, e *Evaluator, cfg Config) (Candidate
 		// the other strategies' infeasibility contract.
 		return Candidate{}, errNothingFits(cfg.BufferWidth)
 	}
-	return e.candidateFromWide(s.best), nil
+	return e.candidate(s.best.mask, s.best.width, s.best.score), nil
 }

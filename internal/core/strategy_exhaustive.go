@@ -13,17 +13,13 @@ type exhaustiveStrategy struct{}
 
 func (exhaustiveStrategy) Name() string { return "exhaustive" }
 
-func (exhaustiveStrategy) Capabilities() Capabilities {
-	return Capabilities{KeepCandidates: true}
-}
-
 func (exhaustiveStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	return selectExhaustive(ctx, e, cfg)
 }
 
 // scanMasks enumerates masks in [lo, hi), keeping the incumbent-best under
-// betterScored (ascending scan, so the lowest tied mask wins) and, when
-// keep is set, every feasible candidate in mask order. betterScored reads
+// score.beats (ascending scan, so the lowest tied mask wins) and, when
+// keep is set, every feasible candidate in mask order. beats reads
 // coverage only when the gains tie within scoreEps, so coverage is scored
 // only for contenders — masks whose gain reaches the incumbent's band —
 // and for every mask when keep asks for all candidates. The scratch cover
@@ -58,7 +54,7 @@ func (e *Evaluator) scanMasks(ctx context.Context, lo, hi uint64, budget int, ke
 			for m := mask; m != 0; m &= m - 1 {
 				gain += e.gainOf[bits.TrailingZeros64(m)]
 			}
-			c := scored{mask: mask, width: width, gain: gain}
+			c := scored{mask: mask, width: width, score: score{gain: gain}}
 			if keep || !found || gain >= best.gain-scoreEps {
 				vis.clear()
 				for m := mask; m != 0; m &= m - 1 {
@@ -67,9 +63,9 @@ func (e *Evaluator) scanMasks(ctx context.Context, lo, hi uint64, budget int, ke
 				c.coverage = e.coverage(vis)
 			}
 			if keep {
-				all = append(all, e.candidateFromScored(c))
+				all = append(all, e.candidate(bitset{c.mask}, c.width, c.score))
 			}
-			if !found || betterScored(c, best) {
+			if !found || c.beats(best.score) {
 				best = c
 				found = true
 			}
@@ -101,15 +97,6 @@ func (e *Evaluator) countFeasible(budget int) int64 {
 	}
 	total-- // the empty subset is never enumerated
 	return total
-}
-
-// candidateFromScored materializes the Candidate for a scored mask.
-func (e *Evaluator) candidateFromScored(s scored) Candidate {
-	c := Candidate{Width: s.width, Gain: s.gain, Coverage: s.coverage}
-	for m := s.mask; m != 0; m &= m - 1 {
-		c.Messages = append(c.Messages, e.universe[bits.TrailingZeros64(m)].Name)
-	}
-	return c
 }
 
 // errTooManyMasks is the MaxCandidates guard both exhaustive bail-outs
@@ -155,5 +142,5 @@ func selectExhaustive(ctx context.Context, e *Evaluator, cfg Config) (Candidate,
 	if !found {
 		return Candidate{}, nil, errNothingFits(cfg.BufferWidth)
 	}
-	return e.candidateFromScored(best), all, nil
+	return e.candidate(bitset{best.mask}, best.width, best.score), all, nil
 }

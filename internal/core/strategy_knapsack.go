@@ -8,8 +8,6 @@ type knapsackStrategy struct{}
 
 func (knapsackStrategy) Name() string { return "knapsack" }
 
-func (knapsackStrategy) Capabilities() Capabilities { return Capabilities{} }
-
 func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, err := selectKnapsack(e, cfg.BufferWidth)
 	return best, nil, err
@@ -19,7 +17,7 @@ func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Can
 // messages, the max-gain feasible combination is a 0/1 knapsack with
 // value = gain and weight = width. O(n × BufferWidth) DP cells, each
 // carrying the exact cover bitset of its chosen set so gain ties break
-// toward higher coverage — the same secondary objective betterScored gives
+// toward higher coverage — the same secondary objective score.beats gives
 // the exhaustive reference. Without the tie-break, a degenerate universe where
 // every gain is zero (e.g. a single-execution product, whose entropy is 0)
 // would never strictly improve any cell and the DP would return an empty
@@ -71,12 +69,12 @@ func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 		return Candidate{}, errNothingFits(budget)
 	}
 	// Recover the chosen set.
-	chosen := make([]bool, n)
+	chosen := newBitset(n)
 	c := budget
 	any := false
 	for i := n - 1; i >= 0; i-- {
 		if take[i][c] {
-			chosen[i] = true
+			chosen.set(i)
 			c -= e.widthOf[i]
 			any = true
 		}
@@ -87,7 +85,7 @@ func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 		// mirror that with the lowest-index fitting message.
 		for i := 0; i < n; i++ {
 			if e.widthOf[i] <= budget {
-				chosen[i] = true
+				chosen.set(i)
 				break
 			}
 		}

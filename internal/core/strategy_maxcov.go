@@ -8,8 +8,6 @@ type maxCoverageStrategy struct{}
 
 func (maxCoverageStrategy) Name() string { return "max-coverage" }
 
-func (maxCoverageStrategy) Capabilities() Capabilities { return Capabilities{} }
-
 func (maxCoverageStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, err := selectMaxCoverage(e, cfg.BufferWidth)
 	return best, nil, err
@@ -21,7 +19,7 @@ func (maxCoverageStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (
 // greedy — a (1-1/e)-approximation since coverage is submodular.
 func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 	n := len(e.universe)
-	chosen := make([]bool, n)
+	chosen := newBitset(n)
 	covered, cand := e.newCover(), e.newCover()
 	coveredN := 0
 	left := budget
@@ -29,7 +27,7 @@ func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 	for {
 		bestAt, bestNew, bestWidth := -1, -1, 0
 		for i := 0; i < n; i++ {
-			if chosen[i] {
+			if chosen.has(i) {
 				continue
 			}
 			w := e.widthOf[i]
@@ -46,7 +44,7 @@ func selectMaxCoverage(e *Evaluator, budget int) (Candidate, error) {
 		if bestAt < 0 {
 			break
 		}
-		chosen[bestAt] = true
+		chosen.set(bestAt)
 		left -= bestWidth
 		any = true
 		covered.or(e.visibleOf[bestAt])

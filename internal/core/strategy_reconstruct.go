@@ -16,8 +16,6 @@ type reconstructStrategy struct{}
 
 func (reconstructStrategy) Name() string { return "reconstruct" }
 
-func (reconstructStrategy) Capabilities() Capabilities { return Capabilities{} }
-
 func (reconstructStrategy) Select(ctx context.Context, e *Evaluator, cfg Config) (Candidate, []Candidate, error) {
 	best, evals, err := selectReconstruct(ctx, e, cfg.BufferWidth)
 	if err == nil {
@@ -46,7 +44,7 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 	}
 	p := e.Product()
 	n := len(e.universe)
-	chosen := make([]bool, n)
+	chosen := newBitset(n)
 	traced := make(map[string]bool, n)
 	current, err := reconstruct.PairCount(p, traced)
 	if err != nil {
@@ -61,7 +59,7 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 		var bestPairs *big.Int
 		bestGainDensity := 0.0
 		for i := 0; i < n; i++ {
-			if chosen[i] || e.widthOf[i] > left {
+			if chosen.has(i) || e.widthOf[i] > left {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
@@ -95,7 +93,7 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 		if bestAt < 0 {
 			break
 		}
-		chosen[bestAt] = true
+		chosen.set(bestAt)
 		traced[e.universe[bestAt].Name] = true
 		left -= e.widthOf[bestAt]
 		current = bestPairs

@@ -55,7 +55,7 @@ func synthEvaluator(t testing.TB, flows, states int, branch, groupProb float64, 
 // stay diagnosable.
 func TestMethodRegistryRoundTrip(t *testing.T) {
 	seen := map[string]Method{}
-	for _, m := range Methods() {
+	for m := range Method(len(registry)) {
 		name := m.String()
 		if name == "" || strings.HasPrefix(name, "Method(") {
 			t.Errorf("method %d has no registered name (String() = %q)", int(m), name)
@@ -72,8 +72,8 @@ func TestMethodRegistryRoundTrip(t *testing.T) {
 			t.Errorf("ParseMethod(%q) = %v, want %v", name, back, m)
 		}
 	}
-	if got := len(MethodNames()); got != len(Methods()) {
-		t.Errorf("MethodNames() has %d entries, Methods() has %d", got, len(Methods()))
+	if got := len(MethodNames()); got != len(registry) {
+		t.Errorf("MethodNames() has %d entries, the registry has %d", got, len(registry))
 	}
 	if m, err := ParseMethod(""); err != nil || m != Exhaustive {
 		t.Errorf("ParseMethod(\"\") = %v, %v; want the Exhaustive zero default", m, err)
@@ -88,31 +88,32 @@ func TestMethodRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnsupportedOptionsRejected pins the capability contract for every
-// registered strategy: a Config that asks for KeepCandidates or Workers > 1
-// against a strategy that cannot honor it is an error up front — never a
-// silently ignored knob (the regression this suite exists for: Greedy and
-// Knapsack used to drop KeepCandidates on the floor).
+// TestUnsupportedOptionsRejected pins ValidateConfig for every registered
+// strategy: a Config that asks for KeepCandidates against any method but
+// Exhaustive, or for Workers > 1 against any method, is an error up front
+// — never a silently ignored knob (the regression this suite exists for:
+// Greedy and Knapsack used to drop KeepCandidates on the floor).
 func TestUnsupportedOptionsRejected(t *testing.T) {
 	e := universeEvaluator(t, 10, 2, synth.Params{MaxWidth: 4}, 1)
-	for _, m := range Methods() {
-		caps := m.Capabilities()
+	for m := range Method(len(registry)) {
 		t.Run(m.String(), func(t *testing.T) {
 			keep := Config{BufferWidth: 8, Method: m, KeepCandidates: true}
+			verr := ValidateConfig(keep)
 			res, err := Select(e, keep)
-			if caps.KeepCandidates {
-				if err != nil {
-					t.Fatalf("KeepCandidates supported but rejected: %v", err)
+			if m == Exhaustive {
+				if verr != nil || err != nil {
+					t.Fatalf("KeepCandidates supported but rejected: %v / %v", verr, err)
 				}
 				if len(res.Candidates) == 0 {
 					t.Error("KeepCandidates honored but Result.Candidates is empty")
 				}
 			} else {
-				if err == nil {
-					t.Fatal("KeepCandidates unsupported but accepted")
+				if verr == nil || err == nil {
+					t.Fatalf("KeepCandidates unsupported but accepted: %v / %v", verr, err)
 				}
-				if !strings.Contains(err.Error(), "does not support KeepCandidates") {
-					t.Errorf("rejection %q does not name the option", err)
+				want := "core: method " + m.String() + " does not support KeepCandidates (supported by: exhaustive)"
+				if verr.Error() != want || err.Error() != want {
+					t.Errorf("rejection %q / %q, want %q", verr, err, want)
 				}
 			}
 

@@ -43,7 +43,7 @@ func TestStepWidthClampKeepsSelection(t *testing.T) {
 		if got := e.stepWidth(sum + 1000); got != sum {
 			t.Fatalf("%s: stepWidth(Σ+1000) = %d, want Σ = %d", name, got, sum)
 		}
-		for _, m := range Methods() {
+		for m := range Method(len(registry)) {
 			t.Run(name+"/"+m.String(), func(t *testing.T) {
 				var want *Result
 				for _, width := range []int{sum, sum + 1, sum + 1000} {
@@ -98,7 +98,7 @@ func TestKnapsackAtMaxWidthAllocatesLittle(t *testing.T) {
 // A buffer wider than MaxBufferWidth is refused by name, for every method.
 func TestBufferWidthOverLimitRefused(t *testing.T) {
 	e := paperEvaluator(t)
-	for _, m := range Methods() {
+	for m := range Method(len(registry)) {
 		if _, err := Select(e, Config{BufferWidth: MaxBufferWidth, Method: m}); err != nil {
 			t.Errorf("%s at %d bits: %v", m, MaxBufferWidth, err)
 		}

@@ -35,10 +35,8 @@ func localizationCatalog() []Cause {
 }
 
 // TestDebugLocalizesInjectedBugs drives Debug over known injected bugs —
-// Drop and Delay armed at fixed instance indexes (in these linear flows
-// each message occurs once per instance, so occurrence gating reduces to
-// index gating) plus a corruption — and asserts the report names exactly
-// the faulty IP and architecture-level function.
+// drops armed at fixed instance indexes plus a corruption — and asserts
+// the report names exactly the faulty IP and architecture-level function.
 func TestDebugLocalizesInjectedBugs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,11 +54,10 @@ func TestDebugLocalizesInjectedBugs(t *testing.T) {
 			wantFunction: "a2 forwarding broken",
 		},
 		{
-			name: "delay a2 past the hang threshold",
-			// The delay lands on a middle message: downstream a3 is never
-			// emitted for armed instances, so the run hangs — a delay on
-			// the flow's last message would finish the instance instead.
-			bug:          inject.Bug{ID: 2, IP: "Y", Kind: inject.Delay, Target: "a2", DelayBy: 20_000_000, AfterIndex: 3},
+			name: "drop a3 after warm-up",
+			// a2 arrives and a3 never does for armed instances, so the run
+			// hangs after a2: the observation of a stalled a2 delivery.
+			bug:          inject.Bug{ID: 2, IP: "Y", Kind: inject.Drop, Target: "a3", AfterIndex: 3},
 			wantCause:    5,
 			wantIP:       "Y",
 			wantFunction: "a2 delivery stalled",

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tracescale/internal/debugger"
+	"tracescale/internal/opensparc"
 	"tracescale/internal/soc"
 	"tracescale/internal/tbuf"
 )
@@ -29,7 +30,7 @@ type DepthRow struct {
 // The study captures one case study's buggy trace at several depths and
 // diffs each windowed observation against the full one.
 func DepthStudy(caseID int, depths []int, seed int64) ([]DepthRow, error) {
-	cs, err := caseStudy(caseID)
+	cs, err := opensparc.CaseStudyByID(caseID)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func DepthStudy(caseID int, depths []int, seed int64) ([]DepthRow, error) {
 	}
 	ref := debugger.ObserveEntries(goldenFull, buggyFull, traced, run.Obs.FocusIndex)
 
-	causes, err := causeCatalog(cs.Scenario.ID)
+	causes, err := opensparc.Causes(cs.Scenario.ID)
 	if err != nil {
 		return nil, err
 	}

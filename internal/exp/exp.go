@@ -192,9 +192,3 @@ func nameSet(names []string) map[string]bool {
 	}
 	return s
 }
-
-// caseStudy and causeCatalog are tiny indirections so experiment files
-// avoid importing opensparc twice under different names.
-func caseStudy(id int) (opensparc.CaseStudy, error) { return opensparc.CaseStudyByID(id) }
-
-func causeCatalog(scenarioID int) ([]debugger.Cause, error) { return opensparc.Causes(scenarioID) }

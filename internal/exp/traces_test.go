@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tracescale/internal/flow"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/trace"
 )
@@ -102,8 +103,12 @@ func TestCapturePlanSubgroupOffsets(t *testing.T) {
 	}
 	// Scenario 1 packs dmusiidata.intvec: offset = width of cputhreadid
 	// (declared first), bits = 7.
-	if !plan.Observes(opensparc.MsgDMUSIIData) {
+	e, ok := plan.Capture(flow.IndexedMsg{Name: opensparc.MsgDMUSIIData, Index: 1}, 0x7F<<6)
+	if !ok {
 		t.Fatal("plan does not observe dmusiidata")
+	}
+	if e.Bits != 7 || e.Data != 0x7F {
+		t.Errorf("dmusiidata window = %0*b (%d bits), want intvec's 7 bits at offset 6", e.Bits, e.Data, e.Bits)
 	}
 	if got := plan.TotalBits(); got != sel.WP.Width {
 		t.Errorf("plan bits = %d, want %d", got, sel.WP.Width)

@@ -12,7 +12,6 @@ import "fmt"
 type Directed struct {
 	succ [][]int
 	pred [][]int
-	m    int // number of edges
 }
 
 // New returns a directed graph with n nodes and no edges.
@@ -29,9 +28,6 @@ func New(n int) *Directed {
 // N returns the number of nodes.
 func (g *Directed) N() int { return len(g.succ) }
 
-// M returns the number of edges.
-func (g *Directed) M() int { return g.m }
-
 // AddEdge inserts the edge u -> v. Parallel edges are allowed; callers that
 // need simple graphs must deduplicate themselves.
 func (g *Directed) AddEdge(u, v int) {
@@ -39,7 +35,6 @@ func (g *Directed) AddEdge(u, v int) {
 	g.check(v)
 	g.succ[u] = append(g.succ[u], v)
 	g.pred[v] = append(g.pred[v], u)
-	g.m++
 }
 
 func (g *Directed) check(u int) {

@@ -2,9 +2,9 @@
 // a declarative bug model (in the spirit of the QED bug classes and the
 // paper's Table 2) compiled into soc.Injector fault hooks. A Bug targets
 // one message of one IP and perturbs it — wrong command or decode (payload
-// corruption), dropped message (protocol stall), misroute, or delay —
-// optionally only after a number of instances or occurrences, so that
-// symptoms take hundreds of messages and long cycle counts to manifest.
+// corruption) or dropped message (protocol stall) — optionally only from
+// a given instance index on, so that symptoms take hundreds of messages
+// and long cycle counts to manifest.
 package inject
 
 import (
@@ -24,12 +24,6 @@ const (
 	// Drop suppresses the message: the consuming protocol stalls and the
 	// flow instance hangs.
 	Drop
-	// Misroute delivers the message to NewDst; the intended consumer
-	// stalls.
-	Misroute
-	// Delay postpones delivery by DelayBy cycles (a performance bug; it
-	// perturbs interleavings without failing flows).
-	Delay
 )
 
 func (k Kind) String() string {
@@ -38,10 +32,6 @@ func (k Kind) String() string {
 		return "corrupt"
 	case Drop:
 		return "drop"
-	case Misroute:
-		return "misroute"
-	case Delay:
-		return "delay"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -65,33 +55,21 @@ type Bug struct {
 	Kind    Kind
 	Target  string // message name the bug perturbs
 	XorMask uint64 // Corrupt: bits to flip
-	NewDst  string // Misroute: wrong destination IP
-	DelayBy uint64 // Delay: added cycles
 
 	// AfterIndex arms the bug only for instances with index >=
-	// AfterIndex, and AfterOccurrence only for occurrence numbers >=
-	// AfterOccurrence. Together they delay manifestation deep into a run.
-	AfterIndex      int
-	AfterOccurrence int
-	// Probability fires the bug with this chance per armed event
-	// (0 means always). Probabilistic bugs make symptoms intermittent.
-	Probability float64
+	// AfterIndex, delaying manifestation deep into a run.
+	AfterIndex int
 }
 
-// Triggered reports whether the bug perturbs this event (before rolling
-// Probability).
+// Triggered reports whether the bug perturbs this event.
 func (b Bug) Triggered(ev soc.Event) bool {
-	return ev.Msg.Name == b.Target &&
-		ev.Msg.Index >= b.AfterIndex &&
-		ev.Occurrence >= b.AfterOccurrence
+	return ev.Msg.Name == b.Target && ev.Msg.Index >= b.AfterIndex
 }
 
-// Apply implements soc.Injector.
-func (b Bug) Apply(ev soc.Event, rng *rand.Rand) soc.Outcome {
+// Apply implements soc.Injector. A bug is deterministic in the event
+// alone, so it draws nothing from the run's rng.
+func (b Bug) Apply(ev soc.Event, _ *rand.Rand) soc.Outcome {
 	if !b.Triggered(ev) {
-		return soc.Outcome{}
-	}
-	if b.Probability > 0 && rng.Float64() >= b.Probability {
 		return soc.Outcome{}
 	}
 	out := soc.Outcome{Bug: b.ID}
@@ -104,10 +82,6 @@ func (b Bug) Apply(ev soc.Event, rng *rand.Rand) soc.Outcome {
 		out.XorMask = mask
 	case Drop:
 		out.Drop = true
-	case Misroute:
-		out.Misroute = b.NewDst
-	case Delay:
-		out.Delay = b.DelayBy
 	}
 	return out
 }

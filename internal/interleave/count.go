@@ -9,13 +9,12 @@ import (
 
 // Counter is the product's one execution-counting core: the (state,
 // matched-prefix) dynamic program over consistent completions. TotalPaths
-// (an empty observation), ConsistentPaths, ConsistentPathsUnindexed, the
-// DOT highlighter, and the reconstruction engine (internal/reconstruct)
-// all count through it. Build one per (traced set, observation, match
-// mode); the memo is filled lazily and reused across every From query, so
-// callers that probe many (state, matched) coordinates — per-edge
-// highlighting, per-step survivor counts, witness enumeration — pay the DP
-// once instead of once per probe. A memo row is allocated on the first
+// (an empty observation), ConsistentPaths, ConsistentPathsUnindexed and
+// the reconstruction engine (internal/reconstruct) all count through it.
+// Build one per (traced set, observation, match mode); the memo is filled
+// lazily and reused across every From query, so callers that probe many
+// (state, matched) coordinates — per-step survivor counts, witness
+// enumeration — pay the DP once instead of once per probe. A memo row is allocated on the first
 // From query at its state, so a caller that only classifies edges with
 // Step holds O(states) memory.
 //

@@ -4,69 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-
-	"tracescale/internal/flow"
 )
 
 // WriteDOT renders the interleaved flow as a Graphviz digraph in the style
 // of the paper's Figure 2: product states named (s1, s2, ...), edges
 // labeled with indexed messages, initial states bold, stop states double
-// circles. With highlight non-nil, the executions consistent with the
-// observation (prefix semantics) are drawn red — the figure's "paths shown
-// in red". Intended for small products; it fails above maxDotStates.
-func (p *Product) WriteDOT(w io.Writer, traced map[string]bool, highlight []flow.IndexedMsg) error {
+// circles. Intended for small products; it fails above maxDotStates.
+func (p *Product) WriteDOT(w io.Writer) error {
 	const maxDotStates = 4096
 	if p.NumStates() > maxDotStates {
 		return fmt.Errorf("interleave: %d states is too large for DOT rendering", p.NumStates())
-	}
-
-	// With a highlight observation, compute for each state whether it lies
-	// on a consistent execution: forward-reachable under the observation
-	// DP and backward-consistent. Simpler and exact: an edge is red when
-	// the count of consistent paths through it is positive; derive via the
-	// shared Counter DP plus prefix-feasibility from the initial states.
-	onPath := map[[2]int]bool{} // (state, matched) reachable from init
-	var redEdge func(u int, e Edge, j int) bool
-	if highlight != nil {
-		ctr, err := p.NewCounter(traced, highlight, Prefix)
-		if err != nil {
-			return err
-		}
-		// Forward reachability over (state, matched-prefix-length).
-		type node struct{ u, j int }
-		stack := make([]node, 0, len(p.init))
-		seen := map[node]bool{}
-		for _, s := range p.init {
-			n := node{s, 0}
-			if !seen[n] {
-				seen[n] = true
-				stack = append(stack, n)
-			}
-		}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			onPath[[2]int{n.u, n.j}] = true
-			for _, e := range p.out[n.u] {
-				if nj, ok := ctr.Step(p.Msg(e), n.j); ok {
-					next := node{e.To, nj}
-					if !seen[next] {
-						seen[next] = true
-						stack = append(stack, next)
-					}
-				}
-			}
-		}
-		redEdge = func(u int, e Edge, j int) bool {
-			// An edge is red if some consistent full execution crosses it:
-			// feasible prefix into u at j, legal step, and a consistent
-			// completion from the successor.
-			if !onPath[[2]int{u, j}] {
-				return false
-			}
-			nj, ok := ctr.Step(p.Msg(e), j)
-			return ok && ctr.From(e.To, nj).Sign() > 0
-		}
 	}
 
 	bw := bufio.NewWriter(w)
@@ -96,18 +43,7 @@ func (p *Product) WriteDOT(w io.Writer, traced map[string]bool, highlight []flow
 	}
 	for u := 0; u < p.NumStates(); u++ {
 		for _, e := range p.out[u] {
-			red := false
-			if redEdge != nil {
-				// An edge may be red at any feasible prefix length.
-				for j := 0; j <= len(highlight) && !red; j++ {
-					red = redEdge(u, e, j)
-				}
-			}
-			if red {
-				fmt.Fprintf(bw, "  %d -> %d [label=%q, color=red, penwidth=2];\n", u, e.To, p.Msg(e).String())
-			} else {
-				fmt.Fprintf(bw, "  %d -> %d [label=%q];\n", u, e.To, p.Msg(e).String())
-			}
+			fmt.Fprintf(bw, "  %d -> %d [label=%q];\n", u, e.To, p.Msg(e).String())
 		}
 	}
 	fmt.Fprintln(bw, "}")

@@ -2,6 +2,7 @@ package interleave
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestFlowWriteDOT(t *testing.T) {
 func TestProductWriteDOTPlain(t *testing.T) {
 	p := twoInstances(t)
 	var buf bytes.Buffer
-	if err := p.WriteDOT(&buf, nil, nil); err != nil {
+	if err := p.WriteDOT(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -38,38 +39,26 @@ func TestProductWriteDOTPlain(t *testing.T) {
 	if !strings.Contains(out, `label="(Init1, Init2)"`) {
 		t.Errorf("DOT missing initial state label\n%s", out)
 	}
-	if strings.Contains(out, "color=red") {
-		t.Error("plain DOT should have no highlighted edges")
-	}
 }
 
-// The paper's Figure-2 rendering: the observation highlights exactly the
-// consistent execution's edges in red.
-func TestProductWriteDOTHighlight(t *testing.T) {
-	p := twoInstances(t)
-	traced := map[string]bool{"ReqE": true, "GntE": true}
-	observed := []flow.IndexedMsg{
-		{Name: "ReqE", Index: 1},
-		{Name: "GntE", Index: 1},
-		{Name: "ReqE", Index: 2},
+// WriteDOT refuses products past its 4,096-state rendering limit, writing
+// nothing: seven cache-coherence instances interleave into more states.
+func TestProductWriteDOTErrors(t *testing.T) {
+	f := flow.CacheCoherence()
+	insts := make([]flow.Instance, 7)
+	for i := range insts {
+		insts[i] = flow.Instance{Flow: f, Index: i + 1}
 	}
-	var buf bytes.Buffer
-	if err := p.WriteDOT(&buf, traced, observed); err != nil {
+	p, err := New(insts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	red := strings.Count(out, "color=red")
-	// Exactly one consistent execution of 6 transitions: 6 red edges.
-	if red != 6 {
-		t.Errorf("highlighted %d edges, want 6\n%s", red, out)
-	}
-}
-
-func TestProductWriteDOTErrors(t *testing.T) {
-	p := twoInstances(t)
 	var buf bytes.Buffer
-	err := p.WriteDOT(&buf, map[string]bool{"ReqE": true}, []flow.IndexedMsg{{Name: "Ack", Index: 1}})
-	if err == nil {
-		t.Error("untraced highlight accepted")
+	err = p.WriteDOT(&buf)
+	if want := fmt.Sprintf("interleave: %d states is too large for DOT rendering", p.NumStates()); err == nil || err.Error() != want {
+		t.Fatalf("WriteDOT on %d states: err = %v, want %q", p.NumStates(), err, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused render wrote %d bytes", buf.Len())
 	}
 }

@@ -33,7 +33,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -292,14 +291,4 @@ func (r *Registry) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Expvar publishes the registry's snapshot under the given expvar name
-// (idempotent: republishing an existing name is a no-op, matching
-// expvar's one-publish rule). A nil Registry publishes nothing.
-func (r *Registry) Expvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"runtime"
 	"strings"
 	"sync"
@@ -66,7 +65,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("x").Max(2)
 	r.Histogram("x", []int64{1}).Observe(9)
 	r.Add("x", 1)
-	r.Expvar("obs-test-nil")
 	if r.Counter("x").Value() != 0 || r.Gauge("x").Value() != 0 {
 		t.Error("nil metrics should read zero")
 	}
@@ -99,20 +97,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 	if got["soc.cycles"] != 123 || got["core.select.workers"] != 4 {
 		t.Errorf("round-tripped snapshot = %v", got)
-	}
-}
-
-func TestExpvarPublish(t *testing.T) {
-	r := NewRegistry()
-	r.Add("x", 42)
-	r.Expvar("obs-test-registry")
-	r.Expvar("obs-test-registry") // republish must not panic
-	v := expvar.Get("obs-test-registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	if !strings.Contains(v.String(), "42") {
-		t.Errorf("expvar value = %s", v.String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tracescale/internal/core"
+	"tracescale/internal/interleave"
 	"tracescale/internal/soc"
 )
 
@@ -135,7 +136,7 @@ func TestScenarioUniverse(t *testing.T) {
 func TestScenarioInterleavings(t *testing.T) {
 	wantStates := map[int]int{1: 6 * 3 * 6, 2: 4 * 3 * 6, 3: 6 * 3 * 4 * 3}
 	for _, s := range Scenarios() {
-		p, err := s.Interleaving()
+		p, err := interleave.New(s.Instances())
 		if err != nil {
 			t.Fatalf("scenario %d: %v", s.ID, err)
 		}
@@ -154,7 +155,7 @@ func TestScenarioInterleavings(t *testing.T) {
 // paper's 32-bit trace buffer at high utilization.
 func TestScenarioSelection32Bits(t *testing.T) {
 	for _, s := range Scenarios() {
-		p, err := s.Interleaving()
+		p, err := interleave.New(s.Instances())
 		if err != nil {
 			t.Fatal(err)
 		}

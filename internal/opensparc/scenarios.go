@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tracescale/internal/flow"
-	"tracescale/internal/interleave"
 	"tracescale/internal/soc"
 )
 
@@ -80,13 +79,6 @@ func (s Scenario) Instances() []flow.Instance {
 		insts[i] = flow.Instance{Flow: f, Index: 1}
 	}
 	return insts
-}
-
-// Interleaving builds the scenario's interleaved flow with one legally
-// indexed instance per participating flow — the analysis product over
-// which messages are selected and executions are localized.
-func (s Scenario) Interleaving() (*interleave.Product, error) {
-	return interleave.New(s.Instances())
 }
 
 // Launches builds a long-running simulation workload: n indexed instances

@@ -34,7 +34,7 @@ func listings(insts []flow.Instance) [][]flow.Instance {
 // T2 scenario 3 reversed at 8 bits with the forward listing's
 // [piowcrd] + dmusiird.rdstat instead of its own [ncumcurd].
 func TestCachedSessionAnswersEveryListing(t *testing.T) {
-	c := NewCache()
+	c := NewCacheObs(nil, 0)
 	methods := []core.Method{core.Exhaustive, core.Knapsack, core.BranchBound, core.Greedy}
 	for id := 1; id <= 3; id++ {
 		s, err := opensparc.ScenarioByID(id)

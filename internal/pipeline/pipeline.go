@@ -180,9 +180,6 @@ type cacheEntry struct {
 	s  *Session
 }
 
-// NewCache returns an empty, unbounded, unobserved session cache.
-func NewCache() *Cache { return NewCacheObs(nil, 0) }
-
 // NewCacheObs returns an empty session cache that records
 // pipeline.cache.* metrics into reg and holds at most capacity sessions
 // (zero = unbounded), evicting least-recently-used sessions past that.

@@ -54,7 +54,7 @@ func TestSessionSelectMatchesCore(t *testing.T) {
 }
 
 func TestCacheHitOnIdenticalScenario(t *testing.T) {
-	c := NewCache()
+	c := NewCacheObs(nil, 0)
 	// Structurally identical instance sets built from distinct *Flow
 	// pointers must share one Session.
 	a, err := c.Session([]flow.Instance{
@@ -77,7 +77,7 @@ func TestCacheHitOnIdenticalScenario(t *testing.T) {
 }
 
 func TestCacheMissOnChangedIndexOrWidth(t *testing.T) {
-	c := NewCache()
+	c := NewCacheObs(nil, 0)
 	base, err := c.Session(ccInstances(2))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestCacheMissOnChangedIndexOrWidth(t *testing.T) {
 // Distinct synth scenarios must never alias to one fingerprint, and each
 // cached Session must keep answering for its own scenario.
 func TestCacheNoCrossScenarioAliasing(t *testing.T) {
-	c := NewCache()
+	c := NewCacheObs(nil, 0)
 	seen := make(map[string]int64)
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -247,7 +247,7 @@ func TestSelectErrorNotMemoized(t *testing.T) {
 // Concurrent requests for one scenario must converge on a single Session
 // and memoized Result (exercised under -race in CI).
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache()
+	c := NewCacheObs(nil, 0)
 	var wg sync.WaitGroup
 	sessions := make([]*Session, 8)
 	results := make([]*core.Result, 8)

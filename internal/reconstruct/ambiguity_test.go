@@ -126,7 +126,7 @@ func refPairCount(p *interleave.Product, traced map[string]bool) (*big.Int, erro
 // products rarely reach.
 func TestPairCountMatchesReferenceT2(t *testing.T) {
 	for _, s := range opensparc.Scenarios() {
-		p, err := s.Interleaving()
+		p, err := interleave.New(s.Instances())
 		if err != nil {
 			t.Fatal(err)
 		}

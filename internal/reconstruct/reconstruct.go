@@ -223,8 +223,8 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 	}
 	res := &Result{Ambiguity: ctr.Total(), Exact: true}
 
-	// Forward reachability over (state, matched) — the same sweep the DOT
-	// highlighter runs — held as one multi-word bitset per matched count.
+	// Forward reachability over (state, matched), held as one multi-word
+	// bitset per matched count.
 	k := len(observed)
 	words := (p.NumStates() + 63) / 64
 	reach := make([][]uint64, k+1)

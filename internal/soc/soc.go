@@ -4,7 +4,7 @@
 // flow instances under the atomic-state mutex semantics of the interleaved
 // flow; every message emission is a cycle-stamped event on an IP-pair
 // interface. Fault injectors perturb events (wrong command, corrupt data,
-// dropped or misrouted messages), and symptom detection reports hangs and
+// dropped messages), and symptom detection reports hangs and
 // bad-trap failures exactly the way a regression testbench would.
 //
 // The simulator models no backpressure: an instance moves as soon as its
@@ -58,8 +58,6 @@ type Event struct {
 	// Dropped marks an emission the injector suppressed: it never reached
 	// Dst, the producing instance wedges, and monitors do not see it.
 	Dropped bool
-	// Misrouted marks an emission delivered to the wrong IP.
-	Misrouted bool
 	// Corrupted marks a payload the injector altered.
 	Corrupted bool
 	// Bug identifies the injected bug that perturbed this event (0 = none).
@@ -68,11 +66,9 @@ type Event struct {
 
 // Outcome is an injector's verdict on an event.
 type Outcome struct {
-	Drop     bool
-	Misroute string // non-empty: deliver to this IP instead
-	XorMask  uint64 // non-zero: flip these payload bits
-	Delay    uint64 // postpone delivery by this many cycles
-	Bug      int    // id of the bug that fired
+	Drop    bool
+	XorMask uint64 // non-zero: flip these payload bits
+	Bug     int    // id of the bug that fired
 }
 
 // Injector perturbs events in flight. Implementations must be
@@ -201,8 +197,8 @@ func (c Config) withDefaults() Config {
 type SymptomKind int
 
 const (
-	// Hang: a flow instance never completed (dropped/misrouted message,
-	// deadlock, or starvation past MaxCycles).
+	// Hang: a flow instance never completed (dropped message, deadlock,
+	// or starvation past MaxCycles).
 	Hang SymptomKind = iota
 	// BadTrap: an instance completed having consumed corrupted data — the
 	// testbench's "FAIL: Bad Trap".
@@ -515,13 +511,6 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 				ev.Data ^= out.XorMask
 				ev.Corrupted = true
 			}
-			if out.Delay > 0 {
-				ev.Cycle += out.Delay
-			}
-			if out.Misroute != "" && out.Misroute != ev.Dst {
-				ev.Dst = out.Misroute
-				ev.Misrouted = true
-			}
 			if out.Drop {
 				ev.Dropped = true
 			}
@@ -530,7 +519,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		in.lastMsg, in.hasMsg = im, true
 
 		switch {
-		case ev.Dropped, ev.Misrouted:
+		case ev.Dropped:
 			// The consumer never sees the message; the protocol stalls.
 			in.wedged = true
 			retire(pick)
@@ -586,14 +575,11 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 // the event list at run end, never per-event work inside the simulation
 // loop.
 func recordRun(reg *obs.Registry, sc Scenario, res *Result) {
-	var delivered, dropped, misrouted, corrupted int64
+	var delivered, dropped, corrupted int64
 	for _, ev := range res.Events {
-		switch {
-		case ev.Dropped:
+		if ev.Dropped {
 			dropped++
-		case ev.Misrouted:
-			misrouted++
-		default:
+		} else {
 			delivered++
 		}
 		if ev.Corrupted {
@@ -605,7 +591,6 @@ func recordRun(reg *obs.Registry, sc Scenario, res *Result) {
 	reg.Add("soc.events.emitted", int64(len(res.Events)))
 	reg.Add("soc.events.delivered", delivered)
 	reg.Add("soc.events.dropped", dropped)
-	reg.Add("soc.events.misrouted", misrouted)
 	reg.Add("soc.events.corrupted", corrupted)
 	reg.Add("soc.instances.launched", int64(len(sc.Launches)))
 	reg.Add("soc.instances.completed", int64(res.Completed))

@@ -213,50 +213,6 @@ func TestCorruptInjectorCausesBadTrap(t *testing.T) {
 	}
 }
 
-func TestMisrouteInjector(t *testing.T) {
-	misroute := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
-		if ev.Msg.Name == "Ack" && ev.Msg.Index == 1 {
-			return Outcome{Misroute: "WrongIP", Bug: 9}
-		}
-		return Outcome{}
-	})
-	res, err := Run(ccScenario(2), Config{Seed: 5, Injectors: []Injector{misroute}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Fatal("misroute should cause a failure")
-	}
-	var ev *Event
-	for i := range res.Events {
-		if res.Events[i].Misrouted {
-			ev = &res.Events[i]
-		}
-	}
-	if ev == nil || ev.Dst != "WrongIP" {
-		t.Fatalf("misrouted event = %+v", ev)
-	}
-}
-
-func TestDelayInjector(t *testing.T) {
-	delay := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
-		if ev.Msg.Name == "ReqE" {
-			return Outcome{Delay: 100}
-		}
-		return Outcome{}
-	})
-	res, err := Run(ccScenario(1), Config{Seed: 5, Injectors: []Injector{delay}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("delay alone should not fail: %v", res.Symptoms)
-	}
-	if res.Events[0].Cycle < 100 {
-		t.Errorf("delayed event at cycle %d, want >= 100", res.Events[0].Cycle)
-	}
-}
-
 func TestGoldenVsBuggyPayloadsAgreeWhenUnaffected(t *testing.T) {
 	corrupt := funcInjector(func(ev Event, _ *rand.Rand) Outcome {
 		if ev.Msg.Name == "GntE" {

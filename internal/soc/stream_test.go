@@ -56,11 +56,14 @@ func TestEventStreamDigest(t *testing.T) {
 	}
 }
 
+// hashRun feeds one run to h. The literal false stands where a misrouting
+// flag stood when the digest was taken, so the digest still reads the
+// same bytes.
 func hashRun(h hash.Hash, res *soc.Result) {
 	for _, e := range res.Events {
 		fmt.Fprintf(h, "E %d %d %s/%d %s>%s %d %d %t %t %t %d\n",
 			e.Cycle, e.Seq, e.Msg.Name, e.Msg.Index, e.Src, e.Dst, e.Data,
-			e.Occurrence, e.Dropped, e.Misrouted, e.Corrupted, e.Bug)
+			e.Occurrence, e.Dropped, false, e.Corrupted, e.Bug)
 	}
 	for _, s := range res.Symptoms {
 		fmt.Fprintf(h, "S %d %d %s %d %s/%d\n",

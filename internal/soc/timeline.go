@@ -10,8 +10,7 @@ import (
 // WriteTimeline renders a run's event stream as per-link ASCII lanes, the
 // quick-look waveform a validator scans before opening a real viewer. One
 // row per (src->dst) interface, one column per event slot, message
-// initials in the cells; dropped events render as 'x', misrouted as '!',
-// corrupted as '*'. maxEvents caps the width (0 = 80).
+// initials in the cells; dropped events render as 'x', corrupted as '*'. maxEvents caps the width (0 = 80).
 func WriteTimeline(w io.Writer, res *Result, maxEvents int) error {
 	if maxEvents <= 0 {
 		maxEvents = 80
@@ -40,8 +39,6 @@ func WriteTimeline(w io.Writer, res *Result, maxEvents int) error {
 		switch {
 		case ev.Dropped:
 			c = 'x'
-		case ev.Misrouted:
-			c = '!'
 		case ev.Corrupted:
 			c = '*'
 		}
@@ -50,7 +47,7 @@ func WriteTimeline(w io.Writer, res *Result, maxEvents int) error {
 	sort.Strings(order)
 
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "timeline: %d of %d events (column = emission order; x dropped, ! misrouted, * corrupted)\n",
+	fmt.Fprintf(bw, "timeline: %d of %d events (column = emission order; x dropped, * corrupted)\n",
 		len(events), len(res.Events))
 	width := 0
 	for _, lane := range order {

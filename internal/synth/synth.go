@@ -130,20 +130,3 @@ func Universe(messages, flows int, p Params, rng *rand.Rand) ([]flow.Instance, e
 	}
 	return out, nil
 }
-
-// Replicated generates count legally indexed instances of a single random
-// flow — the workload that stresses indexing and product growth.
-func Replicated(count int, p Params, rng *rand.Rand) ([]flow.Instance, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("synth: need >= 1 instance, got %d", count)
-	}
-	f, err := Flow("rep", p, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]flow.Instance, count)
-	for i := range out {
-		out[i] = flow.Instance{Flow: f, Index: i + 1}
-	}
-	return out, nil
-}

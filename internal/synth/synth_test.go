@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tracescale/internal/core"
+	"tracescale/internal/flow"
 	"tracescale/internal/interleave"
 )
 
@@ -53,9 +54,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Scenario(0, Params{}, rng); err == nil {
 		t.Error("0-flow scenario accepted")
-	}
-	if _, err := Replicated(0, Params{}, rng); err == nil {
-		t.Error("0-instance replication accepted")
 	}
 	if _, err := Universe(10, 0, Params{}, rng); err == nil {
 		t.Error("0-flow universe accepted")
@@ -116,10 +114,11 @@ func TestScenarioAndReplicatedInterleave(t *testing.T) {
 	if p.NumStates() != 4*4*4 {
 		t.Errorf("product = %d states, want 64", p.NumStates())
 	}
-	reps, err := Replicated(3, Params{States: 3}, rng)
+	f, err := Flow("rep", Params{States: 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reps := []flow.Instance{{Flow: f, Index: 1}, {Flow: f, Index: 2}, {Flow: f, Index: 3}}
 	if _, err := interleave.New(reps); err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,6 @@ func NewCapturePlan(rules []Rule) (*CapturePlan, error) {
 	return p, nil
 }
 
-// Observes reports whether the plan captures (any bits of) the message.
-func (p *CapturePlan) Observes(name string) bool {
-	_, ok := p.rules[name]
-	return ok
-}
-
 // TotalBits returns the summed captured bits across rules — the buffer
 // width the plan requires.
 func (p *CapturePlan) TotalBits() int {

@@ -76,9 +76,6 @@ func TestCapturePlanFullAndSubgroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Observes("hdr") || !p.Observes("payload") || p.Observes("other") {
-		t.Error("Observes mismatch")
-	}
 	if p.TotalBits() != 10 {
 		t.Errorf("TotalBits = %d, want 10", p.TotalBits())
 	}
