@@ -7,6 +7,7 @@
 package tracescale_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,6 +30,7 @@ import (
 	"tracescale/internal/soc"
 	"tracescale/internal/synth"
 	"tracescale/internal/tbuf"
+	"tracescale/internal/trace"
 	"tracescale/internal/usb"
 )
 
@@ -385,6 +387,38 @@ func BenchmarkPRNetUSB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sigsel.PRNet(n, sigsel.PRNetConfig{Budget: 32}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Trace parsing: the three trace texts of a T2 scenario-3 golden corpus,
+// each parsed from its bytes as the trace-mine ingest parses them.
+func BenchmarkTraceParse(b *testing.B) {
+	s, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := exp.GoldenCorpus(s, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	texts := make([][]byte, len(corpus))
+	size := 0
+	for i, entries := range corpus {
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, entries); err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = buf.Bytes()
+		size += buf.Len()
+	}
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			if _, err := trace.Parse(bytes.NewReader(text)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

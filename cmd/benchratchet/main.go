@@ -46,12 +46,12 @@ var errUsage = fmt.Errorf("usage")
 
 // defaultBench is the ratcheted benchmark set: the selector strategies,
 // the end-to-end Fig. 5 pipeline they sit inside, session analysis plus
-// selection at growing instance counts and universe sizes, corpus mining,
-// the product's execution count, the ambiguity pair count, the SoC
-// simulator on one T2 scenario, one T2 scenario's fault-injection campaign
-// (simulation, run diff and debugging), and the Table-3 case studies
-// (simulation, selection and debugging).
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkMineCorpus$|BenchmarkTotalPaths$|BenchmarkPairCount$|BenchmarkSoCSimScenario1$|BenchmarkCampaignScenario1$|BenchmarkTable3$"
+// selection at growing instance counts and universe sizes, trace parsing
+// and corpus mining, the product's execution count, the ambiguity pair
+// count, the SoC simulator on one T2 scenario, one T2 scenario's
+// fault-injection campaign (simulation, run diff and debugging), and the
+// Table-3 case studies (simulation, selection and debugging).
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectGreedy$|BenchmarkSelectBranchBound$|BenchmarkSessionScale$|BenchmarkSessionUniverse120$|BenchmarkTraceParse$|BenchmarkMineCorpus$|BenchmarkTotalPaths$|BenchmarkPairCount$|BenchmarkSoCSimScenario1$|BenchmarkCampaignScenario1$|BenchmarkTable3$"
 
 // memBand is the allowed relative regression of B/op and allocs/op. Unlike
 // ns/op, both counts barely move with the machine's load, so they keep a

@@ -122,6 +122,11 @@ func TestRun(t *testing.T) {
 			wantErr: "min support",
 		},
 		{
+			name:    "NaN confidence rejected",
+			args:    []string{"-min-confidence", "NaN", interleavedPath},
+			wantErr: "min confidence NaN must be in (0.5, 1]",
+		},
+		{
 			name:    "single transaction is below the default support",
 			args:    []string{lone},
 			wantErr: "no message occurs in 2 or more slices",

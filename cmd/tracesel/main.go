@@ -168,7 +168,9 @@ func run(args []string, w io.Writer) error {
 				f.Close()
 				return err
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 		fmt.Fprintf(w, "flow DOT files written to %s\n", *dotFlows)
 	}

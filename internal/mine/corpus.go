@@ -31,7 +31,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MinConfidence == 0 {
 		o.MinConfidence = 1
 	}
-	if o.MinConfidence <= 0.5 || o.MinConfidence > 1 {
+	// Written so that NaN, which fails every comparison, is rejected too.
+	if !(o.MinConfidence > 0.5 && o.MinConfidence <= 1) {
 		return o, fmt.Errorf("mine: min confidence %g must be in (0.5, 1]", o.MinConfidence)
 	}
 	return o, nil
@@ -66,29 +67,91 @@ type Result struct {
 	Splits int
 }
 
-// slice is one transaction slice: the entries of one tag within one trace,
-// in capture order. Same-index instances of different flows share a slice
-// — that interleaving is exactly what the miner must see through.
-type tagSlice struct {
-	trace, tag int
-	entries    []tbuf.Entry
+// corpus is a trace corpus on dense name ids, numbered in first-seen
+// order. Its transaction slices — the entries of one tag within one
+// trace, in capture order — lie back to back in ids: slice k is
+// ids[off[k]:off[k+1]], the entries of tag tag[k] in trace trace[k].
+// Same-index instances of different flows share a slice — that
+// interleaving is exactly what the miner must see through.
+type corpus struct {
+	names        []string
+	count, width []int // per name: entries, widest Bits
+	ids, off     []int32
+	trace, tag   []int
 }
 
-func sliceCorpus(traces [][]tbuf.Entry) []tagSlice {
-	var out []tagSlice
+// slice returns slice k's name ids.
+func (c *corpus) slice(k int) []int32 { return c.ids[c.off[k]:c.off[k+1]] }
+
+// sliceCorpus interns the corpus's names and cuts each trace into slices,
+// in the order their tags first appear.
+func sliceCorpus(traces [][]tbuf.Entry) *corpus {
+	type entry struct{ slice, name int32 }
+	c := &corpus{}
+	total := 0
+	for _, tr := range traces {
+		total += len(tr)
+	}
+	entries := make([]entry, 0, total)
+	var size []int32 // per slice: entries
+	nameID := map[string]int32{}
+	at := map[int]int32{} // tag -> slice, within one trace
 	for ti, tr := range traces {
-		at := map[int]int{} // tag -> index into out
+		clear(at)
 		for _, e := range tr {
-			i, ok := at[e.Msg.Index]
+			k, ok := at[e.Msg.Index]
 			if !ok {
-				i = len(out)
-				at[e.Msg.Index] = i
-				out = append(out, tagSlice{trace: ti, tag: e.Msg.Index})
+				k = int32(len(size))
+				at[e.Msg.Index] = k
+				size = append(size, 0)
+				c.trace = append(c.trace, ti)
+				c.tag = append(c.tag, e.Msg.Index)
 			}
-			out[i].entries = append(out[i].entries, e)
+			size[k]++
+			id, ok := nameID[e.Msg.Name]
+			if !ok {
+				id = int32(len(c.names))
+				nameID[e.Msg.Name] = id
+				c.names = append(c.names, e.Msg.Name)
+				c.count = append(c.count, 0)
+				c.width = append(c.width, 0)
+			}
+			c.count[id]++
+			c.width[id] = max(c.width[id], e.Bits)
+			entries = append(entries, entry{k, id})
 		}
 	}
-	return out
+	// A counting sort by slice that keeps capture order within each; size
+	// becomes each slice's write cursor.
+	c.off = make([]int32, len(size)+1)
+	for k, n := range size {
+		c.off[k+1] = c.off[k] + n
+		size[k] = c.off[k]
+	}
+	c.ids = make([]int32, total)
+	for _, e := range entries {
+		c.ids[size[e.slice]] = e.name
+		size[e.slice]++
+	}
+	return c
+}
+
+// keep rewrites every slice in place to the ids that remap sends to a
+// non-negative id, renumbered, dropping the rest.
+func (c *corpus) keep(remap []int32) {
+	w := int32(0)
+	for k := 0; k+1 < len(c.off); k++ {
+		from, to := c.off[k], c.off[k+1]
+		c.off[k] = w
+		for _, id := range c.ids[from:to] {
+			if r := remap[id]; r >= 0 {
+				c.ids[w] = r
+				w++
+			}
+		}
+	}
+	c.off[len(c.off)-1] = w
+	c.ids = c.ids[:w]
 }
 
 // Corpus mines a flow set from an interleaved multi-flow trace corpus.
@@ -107,7 +170,7 @@ func sliceCorpus(traces [][]tbuf.Entry) []tagSlice {
 // execution of its completed instances' interleaved product explains the
 // observed entries and every partial projection is a truncation-shaped
 // contiguous fragment. Candidates are chains, so that test is decided in
-// closed form by one pass over each slice (see checkSlice); the cost is
+// closed form by one pass over each slice (see oracle.check); the cost is
 // linear in corpus entries per acceptance round. When a slice rejects a
 // candidate flow, the weakest member is ejected into its own flow and
 // acceptance reruns; Splits records how often.
@@ -116,106 +179,99 @@ func sliceCorpus(traces [][]tbuf.Entry) []tagSlice {
 // names occurring more than once per slice (shared across flows —
 // unattributable) and names below MinSupport. An entry with an empty
 // message name is malformed and rejects the corpus.
+//
+// Every pass runs on dense ids: names are interned once, the slices are
+// runs of one flat id array, and the pair statistics are flat n×n arrays
+// over the frequent names.
 func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	slices := sliceCorpus(traces)
-	if len(slices) == 0 {
+	c := sliceCorpus(traces)
+	slices := len(c.trace)
+	if slices == 0 {
 		return nil, fmt.Errorf("mine: empty corpus")
 	}
 
-	// Per-name statistics and the shared/low-support censors.
-	type nameStat struct{ width, count, support int }
-	stats := map[string]*nameStat{}
-	shared := map[string]bool{}
-	for _, sl := range slices {
-		perSlice := map[string]int{}
-		for _, e := range sl.entries {
-			if e.Msg.Name == "" {
-				return nil, fmt.Errorf("mine: slice (trace %d, tag %d): message with empty name", sl.trace, sl.tag)
+	// Per-name support and the shared censor: last[id] is 1 + the slice
+	// that last counted the name, so a repeat within a slice shows.
+	support := make([]int, len(c.names))
+	last := make([]int32, len(c.names))
+	shared := make([]bool, len(c.names))
+	for k := 0; k < slices; k++ {
+		for _, id := range c.slice(k) {
+			if c.names[id] == "" {
+				return nil, fmt.Errorf("mine: slice (trace %d, tag %d): message with empty name", c.trace[k], c.tag[k])
 			}
-			st := stats[e.Msg.Name]
-			if st == nil {
-				st = &nameStat{}
-				stats[e.Msg.Name] = st
+			if last[id] == int32(k+1) {
+				shared[id] = true
+				continue
 			}
-			st.count++
-			if e.Bits > st.width {
-				st.width = e.Bits
-			}
-			perSlice[e.Msg.Name]++
-		}
-		for name, k := range perSlice {
-			stats[name].support++
-			if k > 1 {
-				shared[name] = true
-			}
+			last[id] = int32(k + 1)
+			support[id]++
 		}
 	}
-	res := &Result{Traces: len(traces), Slices: len(slices)}
-	var frequent []string
-	for name, st := range stats {
+	res := &Result{Traces: len(traces), Slices: slices}
+	var frequent []int32 // name ids
+	for id, name := range c.names {
 		switch {
-		case shared[name]:
+		case shared[id]:
 			res.Shared = append(res.Shared, name)
-		case st.support < opt.MinSupport:
+		case support[id] < opt.MinSupport:
 			res.LowSupport = append(res.LowSupport, name)
 		default:
-			frequent = append(frequent, name)
+			frequent = append(frequent, int32(id))
 		}
 	}
 	sort.Strings(res.Shared)
 	sort.Strings(res.LowSupport)
-	sort.Strings(frequent)
+	sort.Slice(frequent, func(a, b int) bool { return c.names[frequent[a]] < c.names[frequent[b]] })
 	if len(frequent) == 0 {
 		return nil, fmt.Errorf("mine: no message occurs in %d or more slices (%d shared, %d below support)",
 			opt.MinSupport, len(res.Shared), len(res.LowSupport))
 	}
 
-	// Pair order statistics: before[i][j] = slices where i preceded j.
+	// From here on an id is a frequent name's rank in name order, and the
+	// slices hold only frequent names.
+	n := len(frequent)
+	remap := make([]int32, len(c.names)) // name id -> frequent id, -1 if censored
+	for id := range remap {
+		remap[id] = -1
+	}
+	for f, id := range frequent {
+		remap[id] = int32(f)
+	}
+	c.keep(remap)
+
+	// Pair order statistics: before[i*n+j] = slices where i preceded j.
 	// Frequent names occur at most once per slice, so "preceded" is
 	// unambiguous.
-	n := len(frequent)
-	id := make(map[string]int, n)
-	for i, name := range frequent {
-		id[name] = i
-	}
-	before := make([][]int, n)
-	for i := range before {
-		before[i] = make([]int, n)
-	}
-	for _, sl := range slices {
-		var present []int // ids in temporal order
-		for _, e := range sl.entries {
-			if i, ok := id[e.Msg.Name]; ok {
-				present = append(present, i)
-			}
-		}
-		for a := 0; a < len(present); a++ {
-			for b := a + 1; b < len(present); b++ {
-				before[present[a]][present[b]]++
+	before := make([]int32, n*n)
+	for k := 0; k < slices; k++ {
+		present := c.slice(k)
+		for a, i := range present {
+			row := before[int(i)*n:]
+			for _, j := range present[a+1:] {
+				row[j]++
 			}
 		}
 	}
-	// dir[i][j] = +1 when i invariantly precedes j, -1 when it follows,
+	// dir[i*n+j] = +1 when i invariantly precedes j, -1 when it follows,
 	// 0 when the pair is incomparable (cross-flow, or under-supported).
-	dir := make([][]int, n)
-	for i := range dir {
-		dir[i] = make([]int, n)
-	}
+	dir := make([]int8, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cooc := before[i][j] + before[j][i]
+			ij, ji := int(before[i*n+j]), int(before[j*n+i])
+			cooc := ij + ji
 			if cooc < opt.MinSupport {
 				continue
 			}
 			switch {
-			case float64(before[i][j]) >= opt.MinConfidence*float64(cooc):
-				dir[i][j], dir[j][i] = 1, -1
-			case float64(before[j][i]) >= opt.MinConfidence*float64(cooc):
-				dir[i][j], dir[j][i] = -1, 1
+			case float64(ij) >= opt.MinConfidence*float64(cooc):
+				dir[i*n+j], dir[j*n+i] = 1, -1
+			case float64(ji) >= opt.MinConfidence*float64(cooc):
+				dir[i*n+j], dir[j*n+i] = -1, 1
 			}
 		}
 	}
@@ -225,16 +281,16 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	var groups [][]int
 	for i := 0; i < n; i++ {
 		placed := false
-		for gi := range groups {
+		for gi, g := range groups {
 			ok := true
-			for _, m := range groups[gi] {
-				if dir[m][i] == 0 {
+			for _, m := range g {
+				if dir[m*n+i] == 0 {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				groups[gi] = append(groups[gi], i)
+				groups[gi] = append(g, i)
 				placed = true
 				break
 			}
@@ -247,8 +303,8 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	// Order each candidate by its predecessor count. A transitive total
 	// order has distinct ranks 0..k-1; a rank collision means the pair
 	// directions form a cycle, so the collision's lexicographically last
-	// member is ejected into its own flow (appended, so the loop orders
-	// it too).
+	// member — ids are in name order — is ejected into its own flow
+	// (appended, so the loop orders it too).
 	eject := func(g []int, out int) []int {
 		kept := g[:0]
 		for _, m := range g {
@@ -261,37 +317,25 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	for gi := 0; gi < len(groups); gi++ {
 		for {
 			g := groups[gi]
-			rank := make(map[int]int, len(g))
+			byRank := make([]int, len(g))
+			for i := range byRank {
+				byRank[i] = -1
+			}
+			collision := -1
 			for _, m := range g {
 				r := 0
 				for _, o := range g {
-					if dir[o][m] == 1 {
+					if dir[o*n+m] == 1 {
 						r++
 					}
 				}
-				rank[m] = r
-			}
-			collision := -1
-			seen := make([]int, len(g))
-			for i := range seen {
-				seen[i] = -1
-			}
-			for _, m := range g {
-				if other := seen[rank[m]]; other >= 0 {
-					// Eject the lexicographically last of the colliding pair.
-					collision = m
-					if frequent[other] > frequent[m] {
-						collision = other
-					}
+				if other := byRank[r]; other >= 0 {
+					collision = max(m, other)
 					break
 				}
-				seen[rank[m]] = m
+				byRank[r] = m
 			}
 			if collision < 0 {
-				byRank := make([]int, len(g))
-				for _, m := range g {
-					byRank[rank[m]] = m
-				}
 				groups[gi] = byRank
 				break
 			}
@@ -301,46 +345,22 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 		}
 	}
 
-	// Widths the mined flows are materialized with, per frequent id,
-	// clamped to 1 bit: flow validation rejects zero-width messages and
-	// hand-fed entries may omit Bits.
-	widths := make([]int, n)
-	for i, name := range frequent {
-		widths[i] = stats[name].width
-		if widths[i] < 1 {
-			widths[i] = 1
-		}
-	}
-
 	// Acceptance against trace consistency, with eject-and-retry repair.
 	for {
-		verdicts := runOracle(slices, groups, id)
+		o := newOracle(groups, n)
 		bad := -1
-		for _, v := range verdicts {
-			if v.bad >= 0 {
-				bad = v.bad
-				break
-			}
+		for k := 0; k < slices && bad < 0; k++ {
+			bad = o.check(c.slice(k))
 		}
 		if bad < 0 {
-			// Accepted: aggregate the per-slice completeness verdicts.
-			complete := make([]int, len(groups))
-			skipped := make([]int, len(groups))
-			for _, v := range verdicts {
-				if v.truncated {
-					res.Truncated++
-				}
-				for _, gi := range v.complete {
-					complete[gi]++
-				}
-				for _, gi := range v.partial {
-					skipped[gi]++
-				}
-			}
+			res.Truncated = o.truncated
 			for gi, g := range groups {
-				m := &Mined{Tags: complete[gi], Skipped: skipped[gi]}
-				for _, mid := range g {
-					m.Order = append(m.Order, Observation{Name: frequent[mid], Width: widths[mid], Count: stats[frequent[mid]].count})
+				m := &Mined{Order: make([]Observation, len(g)), Tags: o.complete[gi], Skipped: o.partial[gi]}
+				for r, f := range g {
+					id := frequent[f]
+					// Widths are clamped to 1 bit: flow validation rejects
+					// zero-width messages and hand-fed entries may omit Bits.
+					m.Order[r] = Observation{Name: c.names[id], Width: max(c.width[id], 1), Count: c.count[id]}
 				}
 				res.Flows = append(res.Flows, m)
 			}
@@ -351,20 +371,20 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 		}
 		g := groups[bad]
 		if len(g) == 1 {
-			return nil, fmt.Errorf("mine: message %s cannot be explained as a linear flow by the corpus", frequent[g[0]])
+			return nil, fmt.Errorf("mine: message %s cannot be explained as a linear flow by the corpus", c.names[frequent[g[0]]])
 		}
 		// Eject the member with the least co-occurrence evidence binding
 		// it to the rest (ties: lexicographically last), preserving order.
 		out, outCooc := -1, 0
 		for _, m := range g {
-			c := 0
+			cooc := 0
 			for _, o := range g {
 				if o != m {
-					c += before[m][o] + before[o][m]
+					cooc += int(before[m*n+o]) + int(before[o*n+m])
 				}
 			}
-			if out < 0 || c < outCooc || (c == outCooc && frequent[m] > frequent[out]) {
-				out, outCooc = m, c
+			if out < 0 || cooc < outCooc || (cooc == outCooc && m > out) {
+				out, outCooc = m, cooc
 			}
 		}
 		groups[bad] = eject(g, out)
@@ -373,33 +393,49 @@ func Corpus(traces [][]tbuf.Entry, opt Options) (*Result, error) {
 	}
 }
 
-// verdict is one slice's oracle outcome.
-type verdict struct {
-	bad       int // group index of the first rejected candidate, -1 = consistent
-	truncated bool
-	complete  []int // group ids whose flow ran to completion in the slice
-	partial   []int // group ids present only as a fragment
+// oracle decides, slice by slice, whether a candidate flow set explains
+// the corpus, and tallies each candidate's complete and fragmentary
+// slices. Its per-candidate state is stamped with the check that wrote it,
+// so no slice pays to reset it.
+type oracle struct {
+	groups     [][]int
+	gid, grank []int32 // per frequent id: its candidate, its rank there
+	stamp      []int   // per candidate: the check that last saw it
+	next, seen []int32 // per candidate: rank expected next (-1: rejected), entries seen
+	touched    []int32 // candidates the current slice holds, first-seen order
+	checks     int
+	complete   []int // per candidate: explained slices holding its whole chain
+	partial    []int // per candidate: explained slices holding a fragment
+	truncated  int   // explained slices holding some fragment
 }
 
-// runOracle checks every slice against the candidate flow set.
-func runOracle(slices []tagSlice, groups [][]int, id map[string]int) []verdict {
-	gid := make([]int, len(id))   // name id -> group
-	grank := make([]int, len(id)) // name id -> rank within group
+func newOracle(groups [][]int, n int) *oracle {
+	o := &oracle{
+		groups:   groups,
+		gid:      make([]int32, n),
+		grank:    make([]int32, n),
+		stamp:    make([]int, len(groups)),
+		next:     make([]int32, len(groups)),
+		seen:     make([]int32, len(groups)),
+		complete: make([]int, len(groups)),
+		partial:  make([]int, len(groups)),
+	}
 	for gi, g := range groups {
-		for r, mid := range g {
-			gid[mid], grank[mid] = gi, r
+		for r, m := range g {
+			o.gid[m], o.grank[m] = int32(gi), int32(r)
 		}
 	}
-	verdicts := make([]verdict, len(slices))
-	for i, sl := range slices {
-		verdicts[i] = checkSlice(sl, groups, gid, grank, id)
-	}
-	return verdicts
+	return o
 }
 
-// checkSlice classifies each candidate's projection in one slice —
-// complete, truncation-shaped fragment, absent, or inconsistent — and so
-// decides whether the candidate set explains the slice.
+// check decides one slice, given as frequent ids in capture order. It
+// returns the lowest-index candidate the slice rejects, or -1 when the
+// slice is explained; only an explained slice is tallied.
+//
+// A candidate's projection must be strictly increasing in rank (chain
+// order) and, when partial, contiguous: wraparound evicts a prefix and
+// end-of-capture cuts a suffix, so anything but an infix is an
+// interleaving artifact, not truncation.
 //
 // Joint consistency needs no product. The slice is explained when the
 // interleaved product of the completed candidates has an execution whose
@@ -412,43 +448,45 @@ func runOracle(slices []tagSlice, groups [][]int, id map[string]int) []verdict {
 // one merge of their chains — an execution — and the joint test can never
 // reject what the per-candidate test accepts. The product gate this
 // replaces is kept in the tests as the reference that pins the argument.
-func checkSlice(sl tagSlice, groups [][]int, gid, grank []int, id map[string]int) verdict {
-	v := verdict{bad: -1}
-	proj := make([][]int, len(groups)) // per group: ranks in temporal order
-	for _, e := range sl.entries {
-		if mid, ok := id[e.Msg.Name]; ok {
-			proj[gid[mid]] = append(proj[gid[mid]], grank[mid])
+func (o *oracle) check(ids []int32) int {
+	o.checks++
+	o.touched = o.touched[:0]
+	for _, m := range ids {
+		g, r := o.gid[m], o.grank[m]
+		switch {
+		case o.stamp[g] != o.checks:
+			o.stamp[g] = o.checks
+			o.touched = append(o.touched, g)
+			o.next[g], o.seen[g] = r+1, 1
+		case o.next[g] == r:
+			o.next[g]++
+			o.seen[g]++
+		default:
+			o.next[g] = -1
 		}
 	}
-	for gi, ranks := range proj {
-		if len(ranks) == 0 {
-			continue
+	bad := -1
+	for _, g := range o.touched {
+		if o.next[g] < 0 && (bad < 0 || int(g) < bad) {
+			bad = int(g)
 		}
-		// The projection must be strictly increasing (chain order) and,
-		// when partial, contiguous: wraparound evicts a prefix and
-		// end-of-capture cuts a suffix, so anything but an infix is an
-		// interleaving artifact, not truncation.
-		okOrder := true
-		for i := 1; i < len(ranks); i++ {
-			if ranks[i] != ranks[i-1]+1 {
-				okOrder = false
-				break
-			}
-		}
-		if !okOrder {
-			if v.bad < 0 {
-				v.bad = gi
-			}
-			continue
-		}
-		if len(ranks) == len(groups[gi]) {
-			v.complete = append(v.complete, gi)
+	}
+	if bad >= 0 {
+		return bad
+	}
+	fragment := false
+	for _, g := range o.touched {
+		if int(o.seen[g]) == len(o.groups[g]) {
+			o.complete[g]++
 		} else {
-			v.partial = append(v.partial, gi)
-			v.truncated = true
+			o.partial[g]++
+			fragment = true
 		}
 	}
-	return v
+	if fragment {
+		o.truncated++
+	}
+	return -1
 }
 
 // Materialize builds the mined flows as DAGs. A lone flow is named base;

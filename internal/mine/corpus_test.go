@@ -3,6 +3,7 @@ package mine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -343,6 +344,9 @@ func TestCorpusErrors(t *testing.T) {
 	}
 	if _, err := Corpus(nil, Options{MinConfidence: 1.5}); err == nil {
 		t.Error("confidence beyond 1 accepted")
+	}
+	if _, err := Corpus(nil, Options{MinConfidence: math.NaN()}); err == nil || err.Error() != "mine: min confidence NaN must be in (0.5, 1]" {
+		t.Errorf("confidence NaN: err = %v", err)
 	}
 	// Every message below support: one slice only.
 	one := []tbuf.Entry{{Msg: flow.IndexedMsg{Name: "a", Index: 1}, Bits: 1}}

@@ -13,7 +13,7 @@ import (
 	"tracescale/internal/tbuf"
 )
 
-// refGate is the joint consistency gate checkSlice decides in closed form,
+// refGate is the joint consistency gate oracle.check decides in closed form,
 // kept as its reference: the interleaved product of the completed flows,
 // indexed by the slice's tag, must hold an execution whose projection onto
 // their messages is exactly the slice's entries of those messages
@@ -44,7 +44,7 @@ func refGate(sl tagSlice, complete []*flow.Flow) (bool, error) {
 	return c.Total().Sign() > 0, nil
 }
 
-// refVerdict applies the reference gate on top of checkSlice's
+// refVerdict applies the reference gate on top of refCheckSlice's
 // per-candidate verdict, as the product-building oracle did: a joint
 // rejection blames the first completed candidate. built reports whether a
 // product was built.
@@ -86,8 +86,37 @@ func oracleInputs(t testing.TB, res *Result) (groups [][]int, id map[string]int,
 	return groups, id, flows
 }
 
-// perturb returns three variants of a slice, each at a random position:
-// two adjacent entries swapped, one entry dropped, one entry duplicated.
+// oracleVerdict runs o.check on one slice's mined names and reads the
+// outcome as a verdict: the rejected candidate, or the candidates whose
+// whole chain and whose fragment the slice holds.
+func oracleVerdict(o *oracle, sl tagSlice, id map[string]int) verdict {
+	var ids []int32
+	for _, e := range sl.entries {
+		if m, ok := id[e.Msg.Name]; ok {
+			ids = append(ids, int32(m))
+		}
+	}
+	complete, partial, truncated := slices.Clone(o.complete), slices.Clone(o.partial), o.truncated
+	v := verdict{bad: o.check(ids)}
+	if v.bad >= 0 {
+		return v
+	}
+	v.truncated = o.truncated > truncated
+	for gi := range o.groups {
+		if o.complete[gi] > complete[gi] {
+			v.complete = append(v.complete, gi)
+		}
+		if o.partial[gi] > partial[gi] {
+			v.partial = append(v.partial, gi)
+		}
+	}
+	return v
+}
+
+// perturb returns four variants of a slice: two adjacent entries swapped,
+// one entry dropped and one entry duplicated, each at a random position,
+// and the slice reversed, which rejects every candidate it holds two
+// messages of, in an order that need not start at the lowest index.
 func perturb(sl tagSlice, rng *rand.Rand) []tagSlice {
 	with := func(entries []tbuf.Entry) tagSlice { return tagSlice{trace: sl.trace, tag: sl.tag, entries: entries} }
 	n := len(sl.entries)
@@ -97,6 +126,9 @@ func perturb(sl tagSlice, rng *rand.Rand) []tagSlice {
 		swapped := slices.Clone(sl.entries)
 		swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
 		out = append(out, with(swapped))
+		reversed := slices.Clone(sl.entries)
+		slices.Reverse(reversed)
+		out = append(out, with(reversed))
 	}
 	i := rng.Intn(n)
 	out = append(out, with(slices.Delete(slices.Clone(sl.entries), i, i+1)))
@@ -105,24 +137,24 @@ func perturb(sl tagSlice, rng *rand.Rand) []tagSlice {
 	return out
 }
 
-// The closed-form oracle must return exactly the verdicts that the
-// product gate on top of its per-candidate pass returns: on every slice
-// of T2 and synthetic corpora, on shuffle corpora of up to 5 concurrent
-// flows (so the reference products stay small), and on perturbed copies
-// of each slice, which the mined candidates mostly reject.
-func TestCheckSliceMatchesProductGate(t *testing.T) {
-	type corpus struct {
-		name   string
-		traces [][]tbuf.Entry
-	}
-	var corpora []corpus
+// namedCorpus is a trace corpus and the name it is reported under.
+type namedCorpus struct {
+	name   string
+	traces [][]tbuf.Entry
+}
+
+// oracleCorpora are the corpora the oracle and miner differentials run
+// on: T2 and synthetic corpora, and shuffle corpora of up to 5 concurrent
+// flows (so the reference products stay small).
+func oracleCorpora(t *testing.T) []namedCorpus {
+	var corpora []namedCorpus
 	for sid := 1; sid <= 3; sid++ {
 		s, err := opensparc.ScenarioByID(sid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 2, 3} {
-			corpora = append(corpora, corpus{fmt.Sprintf("t2-scenario%d/seed%d", sid, seed),
+			corpora = append(corpora, namedCorpus{fmt.Sprintf("t2-scenario%d/seed%d", sid, seed),
 				simulateCorpus(t, s.Instances(), 8, []int64{seed * 10, seed*10 + 1, seed*10 + 2})})
 		}
 	}
@@ -131,15 +163,24 @@ func TestCheckSliceMatchesProductGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpora = append(corpora, corpus{fmt.Sprintf("synth/seed%d", seed),
+		corpora = append(corpora, namedCorpus{fmt.Sprintf("synth/seed%d", seed),
 			simulateCorpus(t, insts, 8, []int64{seed * 10, seed*10 + 1, seed*10 + 2})})
 	}
 	for k := 2; k <= 5; k++ {
-		corpora = append(corpora, corpus{fmt.Sprintf("shuffle-%d", k),
+		corpora = append(corpora, namedCorpus{fmt.Sprintf("shuffle-%d", k),
 			[][]tbuf.Entry{shuffleCorpus(k, 4, 24, int64(k))}})
 	}
+	return corpora
+}
 
+// The oracle must return exactly the verdicts of the closed form it
+// replaced with the product gate on top: on every slice of the oracle
+// corpora, and on perturbed copies of each slice, which the mined
+// candidates mostly reject. A rejected slice's verdict is its rejected
+// candidate alone: the oracle tallies nothing else for it.
+func TestCheckSliceMatchesProductGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	corpora := oracleCorpora(t)
 	compared, products, rejected := 0, 0, 0
 	for _, c := range corpora {
 		res, err := Corpus(c.traces, Options{})
@@ -148,16 +189,20 @@ func TestCheckSliceMatchesProductGate(t *testing.T) {
 		}
 		groups, id, flows := oracleInputs(t, res)
 		var input []tagSlice
-		for _, sl := range sliceCorpus(c.traces) {
+		for _, sl := range refSliceCorpus(c.traces) {
 			input = append(input, sl)
 			input = append(input, perturb(sl, rng)...)
 		}
-		for i, v := range runOracle(input, groups, id) {
-			ref, built, err := refVerdict(input[i], v, flows)
+		o := newOracle(groups, len(id))
+		for i, want := range refRunOracle(input, groups, id) {
+			ref, built, err := refVerdict(input[i], want, flows)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if !reflect.DeepEqual(v, ref) {
+			if ref.bad >= 0 {
+				ref = verdict{bad: ref.bad}
+			}
+			if v := oracleVerdict(o, input[i], id); !reflect.DeepEqual(v, ref) {
 				t.Errorf("%s: slice (trace %d, tag %d): verdict %+v, product gate says %+v",
 					c.name, input[i].trace, input[i].tag, v, ref)
 			}
@@ -175,6 +220,76 @@ func TestCheckSliceMatchesProductGate(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no perturbed slice was rejected; the comparison never saw a rejecting verdict")
 	}
+}
+
+// mineOptions are the Options the miner differentials sweep: default,
+// lenient and strict support, under default and relaxed confidence.
+var mineOptions = func() []Options {
+	var out []Options
+	for _, support := range []int{0, 1, 3} {
+		for _, confidence := range []float64{0, 0.6, 0.8} {
+			out = append(out, Options{MinSupport: support, MinConfidence: confidence})
+		}
+	}
+	return out
+}()
+
+// sameMining fails unless Corpus and refCorpus agree on traces under opt:
+// deep-equal results, or the same error text.
+func sameMining(t *testing.T, what string, traces [][]tbuf.Entry, opt Options) {
+	t.Helper()
+	got, err := Corpus(traces, opt)
+	want, wantErr := refCorpus(traces, opt)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s %+v: error %v, reference %v", what, opt, err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %+v: mined %+v, reference %+v", what, opt, got, want)
+	}
+}
+
+// Corpus must mine exactly what refCorpus mines, under every swept
+// Options, on the oracle corpora and on perturbed copies of each — an
+// adjacent swap, a dropped entry, a duplicated entry or a retagged entry
+// at a random position — which also reach the repair and error paths.
+func TestCorpusMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, c := range oracleCorpora(t) {
+		variants := [][][]tbuf.Entry{c.traces}
+		for kind := 0; kind < 8; kind++ {
+			variants = append(variants, perturbCorpus(c.traces, kind%4, rng))
+		}
+		for vi, traces := range variants {
+			for _, opt := range mineOptions {
+				sameMining(t, fmt.Sprintf("%s/variant%d", c.name, vi), traces, opt)
+			}
+		}
+	}
+}
+
+// perturbCorpus returns a copy of traces with one entry of a random trace
+// changed at a random position: kind 0 swaps it with the next, 1 drops
+// it, 2 duplicates it and 3 moves it to another entry's tag.
+func perturbCorpus(traces [][]tbuf.Entry, kind int, rng *rand.Rand) [][]tbuf.Entry {
+	out := slices.Clone(traces)
+	ti := rng.Intn(len(out))
+	tr := slices.Clone(out[ti])
+	if len(tr) < 2 {
+		return out
+	}
+	i := rng.Intn(len(tr) - 1)
+	switch kind {
+	case 0:
+		tr[i], tr[i+1] = tr[i+1], tr[i]
+	case 1:
+		tr = slices.Delete(tr, i, i+1)
+	case 2:
+		tr = slices.Insert(tr, i, tr[i])
+	case 3:
+		tr[i].Msg.Index = tr[rng.Intn(len(tr))].Msg.Index
+	}
+	out[ti] = tr
+	return out
 }
 
 // decodeCorpus reads fuzz bytes as a corpus of at most 3 traces: byte 0xff
@@ -198,7 +313,8 @@ func decodeCorpus(data []byte) [][]tbuf.Entry {
 	return traces
 }
 
-// Corpus must never panic on any corpus. When it accepts one, every mined
+// Corpus must never panic on any corpus, and must mine what refCorpus
+// mines under every swept Options. When it accepts one, every mined
 // name belongs to exactly one flow and to neither censored class; in every
 // slice each flow's projection is its whole chain or a contiguous fragment
 // of it, as Tags and Skipped count; and the flows whose whole chain appears
@@ -210,6 +326,9 @@ func FuzzCorpus(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 1, 9, 2, 10})                    // a shared name
 	f.Fuzz(func(t *testing.T, data []byte) {
 		traces := decodeCorpus(data)
+		for _, opt := range mineOptions {
+			sameMining(t, "corpus", traces, opt)
+		}
 		res, err := Corpus(traces, Options{})
 		if err != nil {
 			return
@@ -235,7 +354,7 @@ func FuzzCorpus(f *testing.F) {
 		}
 		tags := make([]int, len(res.Flows))
 		skipped := make([]int, len(res.Flows))
-		for _, sl := range sliceCorpus(traces) {
+		for _, sl := range refSliceCorpus(traces) {
 			// Each flow's projection must be a contiguous run of its chain
 			// ranks: the whole chain, or a truncation-shaped fragment.
 			first := make([]int, len(res.Flows))
