@@ -1,13 +1,16 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation (DAC'18, §4-§5) from the bundled OpenSPARC T2 and USB models:
+// evaluation (DAC'18, §4-§5) from the bundled OpenSPARC T2 and USB models
+// as sections of one markdown report:
 //
-//	paperbench -all            # everything, terminal format
-//	paperbench -table 3        # one table (1-7)
-//	paperbench -figure 5       # one figure (5-7)
-//	paperbench -figure 6 -csv  # figure data as CSV
-//	paperbench -markdown       # the full evaluation as a markdown report
-//	paperbench -sweep          # buffer-width design-space sweep
+//	paperbench -all            # the whole report (internal/exp/testdata/report.golden.md at seed 1)
+//	paperbench -table 3        # one table's section (1-7)
+//	paperbench -figure 5       # one figure's section (5-7)
+//	paperbench -figure 6 -csv  # the figure's full data as CSV
+//	paperbench -sweep          # buffer-width sweep at widths 8-64
 //	paperbench -crossover      # SRR vs coverage crossover study
+//	paperbench -curves         # localization curve, selection baselines, tagging ablation
+//	paperbench -depth          # buffer-depth study at depths 4-128
+//	paperbench -scaling        # wall-clock selection times (not in the report)
 //	paperbench -seed 42        # change the experiment seed
 //	paperbench -all -metrics-json m.json  # dump the observability snapshot
 //
@@ -44,141 +47,77 @@ var errUsage = fmt.Errorf("usage")
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	var (
-		table    = fs.Int("table", 0, "render one table (1-7)")
-		figure   = fs.Int("figure", 0, "render one figure (5-7)")
-		all      = fs.Bool("all", false, "render every table and figure")
-		seed     = fs.Int64("seed", 1, "experiment seed")
-		csv      = fs.Bool("csv", false, "emit figure data as CSV (figures 5-7 only)")
-		markdown = fs.Bool("markdown", false, "emit the full evaluation as markdown")
-		sweep    = fs.Bool("sweep", false, "run the buffer-width sweep study")
-		cross    = fs.Bool("crossover", false, "run the SRR-vs-coverage crossover study")
-		curves   = fs.Bool("curves", false, "run the localization-narrowing and selection-baseline studies")
-		scaling  = fs.Bool("scaling", false, "time app-level selection vs gate-level SRR selection")
-		depth    = fs.Bool("depth", false, "run the buffer-depth (wraparound) study")
-		cacheS   = fs.Bool("cache-stats", false, "print session-cache hit/miss counters after the run")
-		metrics  = fs.String("metrics-json", "", "write the observability snapshot (soc.*, interleave.*, core.*, pipeline.*) as JSON to this file")
+		table   = fs.Int("table", 0, "print one table's section (1-7)")
+		figure  = fs.Int("figure", 0, "print one figure's section (5-7)")
+		all     = fs.Bool("all", false, "print the whole report (other section flags are ignored)")
+		seed    = fs.Int64("seed", 1, "experiment seed")
+		csv     = fs.Bool("csv", false, "with -figure, print the figure's data as CSV")
+		sweep   = fs.Bool("sweep", false, "print the buffer-width sweep at widths 8-64")
+		cross   = fs.Bool("crossover", false, "print the SRR-vs-coverage crossover study")
+		curves  = fs.Bool("curves", false, "print the localization-narrowing, selection-baseline and tagging-ablation studies")
+		scaling = fs.Bool("scaling", false, "time app-level selection vs gate-level SRR selection")
+		depth   = fs.Bool("depth", false, "print the buffer-depth (wraparound) study at depths 4-128")
+		cacheS  = fs.Bool("cache-stats", false, "print session-cache hit/miss counters after the run")
+		metrics = fs.String("metrics-json", "", "write the observability snapshot (soc.*, interleave.*, core.*, pipeline.*) as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
 
-	any := false
-	step := func(err error) error {
-		any = true
-		return err
-	}
-
-	switch {
-	case *markdown:
-		if err := exp.RenderMarkdown(w, *seed); err != nil {
-			return err
-		}
-		any = true
-	default:
-		if *sweep {
-			if err := step(exp.RenderWidthSweep(w, []int{8, 16, 24, 32, 48, 64})); err != nil {
-				return err
-			}
-		}
-		if *cross {
-			if err := step(exp.RenderSRRCrossover(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if *curves {
-			if err := step(exp.RenderLocalizationCurve(w, *seed)); err != nil {
-				return err
-			}
-			if err := step(exp.RenderSelectionBaselines(w, *seed)); err != nil {
-				return err
-			}
-			if err := step(exp.RenderTaggingAblation(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if *scaling {
-			if err := step(exp.RenderScaling(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if *depth {
-			if err := step(exp.RenderDepthStudy(w, *seed)); err != nil {
-				return err
-			}
-		}
-		want := func(t int) bool { return *all || *table == t }
-		wantFig := func(g int) bool { return *all || *figure == g }
-		if want(1) {
-			if err := step(exp.RenderTable1(w)); err != nil {
-				return err
-			}
-		}
-		if want(2) {
-			any = true
-			exp.RenderTable2(w)
-		}
-		if want(3) {
-			if err := step(exp.RenderTable3(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if want(4) {
-			if err := step(exp.RenderTable4(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if want(5) {
-			if err := step(exp.RenderTable5(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if want(6) {
-			if err := step(exp.RenderTable6(w, *seed)); err != nil {
-				return err
-			}
-		}
-		if want(7) {
-			if err := step(exp.RenderTable7(w, 1)); err != nil {
-				return err
-			}
-		}
-		if wantFig(5) {
-			var err error
-			if *csv {
-				err = exp.RenderCSVFig5(w)
-			} else {
-				err = exp.RenderFig5(w)
-			}
-			if err := step(err); err != nil {
-				return err
-			}
-		}
-		if wantFig(6) {
-			var err error
-			if *csv {
-				err = exp.RenderCSVFig6(w, *seed)
-			} else {
-				err = exp.RenderFig6(w, *seed)
-			}
-			if err := step(err); err != nil {
-				return err
-			}
-		}
-		if wantFig(7) {
-			var err error
-			if *csv {
-				err = exp.RenderCSVFig7(w, *seed)
-			} else {
-				err = exp.RenderFig7(w, *seed)
-			}
-			if err := step(err); err != nil {
-				return err
-			}
+	s := *seed
+	var sections []func() error
+	add := func(on bool, section func() error) {
+		if on {
+			sections = append(sections, section)
 		}
 	}
-	if !any {
+	// Table 4 and the crossover print from one exp.Table4 result.
+	var res4 *exp.Table4Result
+	withTable4 := func(write func(io.Writer, *exp.Table4Result)) func() error {
+		return func() error {
+			if res4 == nil {
+				res, err := exp.Table4(s)
+				if err != nil {
+					return err
+				}
+				res4 = res
+			}
+			write(w, res4)
+			return nil
+		}
+	}
+	if *all {
+		sections = append(sections, func() error { return exp.RenderMarkdown(w, s) })
+	} else {
+		add(*sweep, func() error { return exp.MarkdownWidthSweep(w, []int{8, 16, 24, 32, 48, 64}) })
+		add(*cross, withTable4(exp.MarkdownSRRCrossover))
+		add(*curves, func() error { return exp.MarkdownLocalizationCurve(w, s) })
+		add(*curves, func() error { return exp.MarkdownSelectionBaselines(w, s) })
+		add(*curves, func() error { return exp.MarkdownTaggingAblation(w, s) })
+		add(*scaling, func() error { return exp.MarkdownScaling(w, s) })
+		add(*depth, func() error { return exp.MarkdownDepthStudy(w, []int{4, 8, 16, 32, 64, 128}, s) })
+		add(*table == 1, func() error { return exp.MarkdownTable1(w) })
+		add(*table == 2, func() error { exp.MarkdownTable2(w); return nil })
+		add(*table == 3, func() error { return exp.MarkdownTable3(w, s) })
+		add(*table == 4, withTable4(exp.MarkdownTable4))
+		add(*table == 5, func() error { return exp.MarkdownTable5(w, s) })
+		add(*table == 6, func() error { return exp.MarkdownTable6(w, s) })
+		add(*table == 7, func() error { return exp.MarkdownTable7(w) })
+		add(*figure == 5 && !*csv, func() error { return exp.MarkdownFig5(w) })
+		add(*figure == 5 && *csv, func() error { return exp.RenderCSVFig5(w) })
+		add(*figure == 6 && !*csv, func() error { return exp.MarkdownFig6(w, s) })
+		add(*figure == 6 && *csv, func() error { return exp.RenderCSVFig6(w, s) })
+		add(*figure == 7 && !*csv, func() error { return exp.MarkdownFig7(w, s) })
+		add(*figure == 7 && *csv, func() error { return exp.RenderCSVFig7(w, s) })
+	}
+	if len(sections) == 0 {
 		fs.Usage()
 		return errUsage
+	}
+	for _, section := range sections {
+		if err := section(); err != nil {
+			return err
+		}
 	}
 
 	if *cacheS {

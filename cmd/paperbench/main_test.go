@@ -11,7 +11,7 @@ import (
 
 // TestRunFlagHandling drives the CLI in-process through run, checking the
 // argument-handling contract: bad invocations return errUsage (exit 2 in
-// main), good ones render to the writer.
+// main), good ones print the chosen report sections to the writer.
 func TestRunFlagHandling(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -30,9 +30,49 @@ func TestRunFlagHandling(t *testing.T) {
 			wantErr: errUsage,
 		},
 		{
+			name:    "the removed markdown flag prints usage",
+			args:    []string{"-markdown"},
+			wantErr: errUsage,
+		},
+		{
+			name:    "a table outside 1-7 prints usage",
+			args:    []string{"-table", "9"},
+			wantErr: errUsage,
+		},
+		{
 			name: "table 2 renders the bug catalog",
 			args: []string{"-table", "2"},
-			want: []string{"Table 2", "wrong command generation"},
+			want: []string{"## Table 2", "wrong command generation"},
+		},
+		{
+			name: "sweep prints every scenario at widths 8 to 64",
+			args: []string{"-sweep"},
+			want: []string{"## Extension — buffer-width sweep",
+				"| 1 | 8 | 2 | 0 | 87.5% |", "| 2 | 24 | 4 | 0 | 100% |", "| 3 | 48 | 5 | 0 | 100% |"},
+		},
+		{
+			name: "depth prints depths 4 to 128",
+			args: []string{"-depth"},
+			want: []string{"## Extension — buffer-depth study",
+				"| 8 | 8 | 3 | true |", "| 32 | 32 | 3 | true |", "| 128 | 48 | 0 | true |"},
+		},
+		{
+			name: "curves print the localization curve and two report studies",
+			args: []string{"-curves"},
+			want: []string{"## Extension — localization vs observed trace length", "| 1 | 3 | 0.14% |",
+				"## Extension — selection baselines", "## Extension — tagging ablation"},
+		},
+		{
+			name: "scaling prints the timing table",
+			args: []string{"-scaling"},
+			want: []string{"## Extension — app-level vs gate-level SRR selection time",
+				"| app-level | Scenario 3 | 12 messages, 216 states | ",
+				"| gate-level SRR | generated circuit | 256 flip-flops | "},
+		},
+		{
+			name: "figure 6 as CSV prints every step",
+			args: []string{"-figure", "6", "-csv"},
+			want: []string{"case,step,message,pairs_left,causes_left\n1,1,reqtot,7,7\n"},
 		},
 		{
 			name: "cache stats are appended after the report",
@@ -56,17 +96,18 @@ func TestRunFlagHandling(t *testing.T) {
 	}
 }
 
-// TestRunTable2Golden pins the full Table 2 render: the bug catalog is
+// TestRunTable2Golden pins the full Table 2 section: the bug catalog is
 // static, so the CLI's end-to-end output is byte-reproducible.
 func TestRunTable2Golden(t *testing.T) {
 	const golden = `
-Table 2: representative injected bugs
-=====================================
-Bug  Depth  Category  IP    Type
-1    4      Control   DMU   wrong command generation by data misinterpretation
-2    4      Data      DMU   data corruption by wrong address generation
-3    3      Control   DMU   wrong construction of Unit Control Block resulting in malformed request
-4    4      Control   NCU   generating wrong request due to incorrect decoding of request packet from CPU buffer
+## Table 2 — representative injected bugs
+
+| Bug | Depth | Category | IP | Type |
+|---|---|---|---|---|
+| 1 | 4 | Control | DMU | wrong command generation by data misinterpretation |
+| 2 | 4 | Data | DMU | data corruption by wrong address generation |
+| 3 | 3 | Control | DMU | wrong construction of Unit Control Block resulting in malformed request |
+| 4 | 4 | Control | NCU | generating wrong request due to incorrect decoding of request packet from CPU buffer |
 `
 	var out bytes.Buffer
 	if err := run([]string{"-table", "2"}, &out); err != nil {

@@ -180,6 +180,9 @@ func dumpTrace(t regress.Test, seed int64, dir string, injectors []soc.Injector)
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	return trace.Write(out, mon.Buffer().Entries())
+	if err := trace.Write(out, mon.Buffer().Entries()); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }

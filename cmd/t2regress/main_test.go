@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tracescale/internal/regress"
+	"tracescale/internal/trace"
 )
 
 // TestRunFlagHandling drives the regression CLI in-process through run.
@@ -88,6 +91,36 @@ func TestRunMetricsJSON(t *testing.T) {
 	for _, key := range []string{"soc.runs", "soc.cycles", "soc.events.delivered"} {
 		if snap[key] == 0 {
 			t.Errorf("metric %q is zero or missing", key)
+		}
+	}
+}
+
+// TestRunDump checks -dump: one trace file per regression test, each of
+// which parses back.
+func TestRunDump(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-dump", dir}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suite := regress.Suite(); len(files) != len(suite) {
+		t.Fatalf("dumped %d files for %d tests: %v", len(files), len(suite), files)
+	}
+	for _, test := range regress.Suite() {
+		f, err := os.Open(filepath.Join(dir, test.Name+".trace"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := trace.Parse(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s.trace: %v", test.Name, err)
+		} else if len(entries) == 0 {
+			t.Errorf("%s.trace is empty", test.Name)
 		}
 	}
 }

@@ -141,6 +141,16 @@ func TestRun(t *testing.T) {
 			args:    []string{"-spec", "-instances", "0", single},
 			wantErr: "instances 0",
 		},
+		{
+			name:    "width must be positive",
+			args:    []string{"-spec", "-width", "0", single},
+			wantErr: "bufferWidth 0 must be positive",
+		},
+		{
+			name:    "negative width rejected",
+			args:    []string{"-spec", "-width", "-5", single},
+			wantErr: "bufferWidth -5 must be positive",
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

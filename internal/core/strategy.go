@@ -15,9 +15,12 @@ const (
 	// per-scenario message counts, and the reference the other methods are
 	// validated against.
 	Exhaustive Method = iota
-	// Knapsack solves Step 2 exactly in O(messages × budget) by dynamic
-	// programming, exploiting the additivity of the gain metric. This is
-	// the scalable selector.
+	// Knapsack finds a maximum-gain Step-2 combination in O(messages ×
+	// budget) by dynamic programming, exploiting the additivity of the
+	// gain metric. The gain is optimal; its coverage tie-break among
+	// gain-tied combinations is a heuristic, so its set can differ from
+	// Exhaustive's (equal gain, coverage never higher). This is the
+	// scalable selector.
 	Knapsack
 	// Greedy adds messages in decreasing gain density (gain per bit),
 	// skipping what no longer fits. Fastest, not always optimal: the
@@ -26,7 +29,7 @@ const (
 	// within 1/2 of the exact optimum — the documented approximation bound
 	// pinned by TestGreedyVsExhaustiveDifferential — and is exact whenever
 	// at most one message fits (e.g. a width-1 budget). Provided for the
-	// scalability ablation; use Knapsack for exactness at scale.
+	// scalability ablation; use Knapsack for the optimal gain at scale.
 	Greedy
 	// MaxCoverage greedily maximizes flow-specification coverage directly
 	// instead of information gain — the ablation behind §5.3: if gain is a

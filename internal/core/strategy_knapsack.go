@@ -2,7 +2,7 @@ package core
 
 import "context"
 
-// knapsackStrategy is the exact DP selector. It never enumerates
+// knapsackStrategy is the gain-optimal DP selector. It never enumerates
 // candidates, so KeepCandidates is rejected.
 type knapsackStrategy struct{}
 
@@ -13,17 +13,19 @@ func (knapsackStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Can
 	return best, nil, err
 }
 
-// selectKnapsack solves Step 2 exactly: because gain is additive across
-// messages, the max-gain feasible combination is a 0/1 knapsack with
-// value = gain and weight = width. O(n × BufferWidth) DP cells, each
-// carrying the exact cover bitset of its chosen set so gain ties break
-// toward higher coverage — the same secondary objective score.beats gives
-// the exhaustive reference. Without the tie-break, a degenerate universe where
-// every gain is zero (e.g. a single-execution product, whose entropy is 0)
-// would never strictly improve any cell and the DP would return an empty
+// selectKnapsack finds a maximum-gain Step-2 combination: because gain is
+// additive across messages, the max-gain feasible combination is a 0/1
+// knapsack with value = gain and weight = width. O(n × BufferWidth) DP
+// cells, each carrying the exact cover bitset of its chosen set so gain
+// ties break toward higher coverage. The gain is optimal; the tie-break is
+// a heuristic. Each cell keeps one set, so a gain-tied set with more
+// coverage can be dropped before it reaches the last cell, and the result
+// can differ from exhaustive's (equal gain, often lower coverage, never
+// higher). Without the tie-break, a degenerate universe where every gain
+// is zero (e.g. a single-execution product, whose entropy is 0) would
+// never strictly improve any cell and the DP would return an empty
 // Candidate with no error. Item order plus strict-improvement replacement
-// prefers excluding later universe messages on full ties, mirroring
-// exhaustive's lowest-mask rule.
+// prefers excluding later universe messages on full ties.
 func selectKnapsack(e *Evaluator, budget int) (Candidate, error) {
 	n := len(e.universe)
 	// dp[c] = best (gain, coverage) using total width ≤ c. cov holds the

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"math/big"
 	"math/rand"
 
@@ -46,23 +45,6 @@ func LocalizationCurve(caseID int, seed int64) ([]LocalizationPoint, error) {
 		out = append(out, LocalizationPoint{Observed: k, Localization: loc})
 	}
 	return out, nil
-}
-
-// RenderLocalizationCurve prints the per-case narrowing curves.
-func RenderLocalizationCurve(w io.Writer, seed int64) error {
-	header(w, "Path localization vs observed trace length (every entry narrows the search)")
-	for _, cs := range opensparc.CaseStudies() {
-		points, err := LocalizationCurve(cs.ID, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\ncase study %d:\n", cs.ID)
-		for _, p := range points {
-			fmt.Fprintf(w, "  after %2d observed: %8s of executions remain\n",
-				p.Observed, FormatPercent(p.Localization))
-		}
-	}
-	return nil
 }
 
 // BaselineRow compares a selection strategy's quality on one scenario.
@@ -127,20 +109,6 @@ func SelectionBaselines(seed int64) ([]BaselineRow, error) {
 		add("random(avg)", core.Candidate{Gain: g / draws, Coverage: c / draws})
 	}
 	return out, nil
-}
-
-// RenderSelectionBaselines prints the baseline comparison.
-func RenderSelectionBaselines(w io.Writer, seed int64) error {
-	rows, err := SelectionBaselines(seed)
-	if err != nil {
-		return err
-	}
-	header(w, "Selection-strategy baselines (32-bit buffer, packing off)")
-	fmt.Fprintf(w, "%-12s %-14s %-9s %s\n", "Scenario", "Method", "Gain", "Coverage")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %-14s %-9.4f %s\n", r.Scenario, r.Method, r.Gain, FormatPercent(r.Coverage))
-	}
-	return nil
 }
 
 // TaggingRow compares localization with and without instance tags for one
@@ -208,23 +176,4 @@ func TaggingAblation(seed int64) ([]TaggingRow, error) {
 		out = append(out, TaggingRow{Workload: cfg.name, Instances: cfg.k, Tagged: tagged, Untagged: untagged})
 	}
 	return out, nil
-}
-
-// RenderTaggingAblation prints the tagging comparison.
-func RenderTaggingAblation(w io.Writer, seed int64) error {
-	rows, err := TaggingAblation(seed)
-	if err != nil {
-		return err
-	}
-	header(w, "Tagging ablation: localization with vs without instance tags (Definition 3)")
-	fmt.Fprintf(w, "%-18s %-10s %-12s %-12s %s\n", "Workload", "Instances", "Tagged", "Untagged", "Tagging advantage")
-	for _, r := range rows {
-		adv := "-"
-		if r.Tagged > 0 {
-			adv = fmt.Sprintf("%.1fx", r.Untagged/r.Tagged)
-		}
-		fmt.Fprintf(w, "%-18s %-10d %-12s %-12s %s\n", r.Workload, r.Instances,
-			FormatPercent(r.Tagged), FormatPercent(r.Untagged), adv)
-	}
-	return nil
 }

@@ -2,8 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"tracescale/internal/opensparc"
 )
 
 // Each observed message narrows (never widens) the candidate-execution
@@ -75,19 +79,36 @@ func TestSelectionBaselines(t *testing.T) {
 	}
 }
 
+// The selection-baseline and tagging sections print the report's bytes;
+// the localization curve, outside the report, prints one row per observed
+// prefix of every case study, each curve starting unnarrowed at 100%.
 func TestRenderCurves(t *testing.T) {
+	checkSections(t, map[string]func(io.Writer) error{
+		"Extension — selection baselines": func(w io.Writer) error { return MarkdownSelectionBaselines(w, seed) },
+		"Extension — tagging ablation":    func(w io.Writer) error { return MarkdownTaggingAblation(w, seed) },
+	})
 	var buf bytes.Buffer
-	if err := RenderLocalizationCurve(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderSelectionBaselines(&buf, seed); err != nil {
+	if err := MarkdownLocalizationCurve(&buf, seed); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Path localization vs observed", "case study 5", "Selection-strategy baselines", "widest-first"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("curve rendering missing %q", want)
+	if head := "\n## Extension — localization vs observed trace length\n\n| Case | Observed | Localization |\n"; !strings.HasPrefix(out, head) {
+		t.Errorf("localization section does not start with %q:\n%s", head, out)
+	}
+	rows := 0
+	for _, cs := range opensparc.CaseStudies() {
+		points, err := LocalizationCurve(cs.ID, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rows += len(points)
+		if want := fmt.Sprintf("| %d | 0 | 100%% |\n", cs.ID); !strings.Contains(out, want) {
+			t.Errorf("localization section missing %q", want)
+		}
+	}
+	// Table rows less the header and separator.
+	if got := strings.Count(out, "\n|") - 2; got != rows {
+		t.Errorf("localization section has %d rows, want %d", got, rows)
 	}
 }
 

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"io"
-
 	"tracescale/internal/debugger"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/soc"
@@ -102,19 +99,4 @@ func DepthStudy(caseID int, depths []int, seed int64) ([]DepthRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// RenderDepthStudy prints the depth study for case study 1.
-func RenderDepthStudy(w io.Writer, seed int64) error {
-	depths := []int{4, 8, 16, 32, 64, 128}
-	rows, err := DepthStudy(1, depths, seed)
-	if err != nil {
-		return err
-	}
-	header(w, "Buffer-depth study (case study 1): wraparound fabricates evidence")
-	fmt.Fprintf(w, "%-7s %-10s %-15s %s\n", "Depth", "Captured", "Misclassified", "Ground truth survives")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-7d %-10d %-15d %v\n", r.Depth, r.Captured, r.Misclassified, r.GroundTruthSurvives)
-	}
-	return nil
 }

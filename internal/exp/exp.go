@@ -1,6 +1,7 @@
 // Package exp implements the paper's evaluation harness: one function per
 // table and figure of the DAC'18 evaluation (§4-§5), producing structured
-// results that cmd/paperbench renders, benchmarks time, and tests check
+// results that one markdown section writer each prints (markdown.go; the
+// report and cmd/paperbench share them), benchmarks time, and tests check
 // for the paper's qualitative shapes. All experiments are deterministic
 // given a seed.
 package exp

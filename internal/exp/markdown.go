@@ -4,48 +4,98 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
+
+	"tracescale/internal/opensparc"
 )
+
+// The Markdown* functions each write one section of the evaluation
+// report: a "## " heading, a table, and for some the paper's claim.
+// RenderMarkdown is the header and the report's sections in order;
+// cmd/paperbench prints single sections from the same writers.
 
 // RenderMarkdown writes the complete evaluation as a markdown report —
 // the live-regenerated counterpart of EXPERIMENTS.md. Every table and
 // figure of the paper's evaluation appears as a markdown table with the
-// paper's qualitative claim quoted alongside the measured values.
+// paper's qualitative claim quoted alongside the measured values, followed
+// by the deterministic extension studies. The localization curve and the
+// wall-clock scaling table have sections of their own outside the report.
 func RenderMarkdown(w io.Writer, seed int64) error {
 	fmt.Fprintf(w, "# tracescale evaluation report (seed %d)\n", seed)
 	fmt.Fprintln(w, "\nRegenerated by `paperbench -markdown`. Absolute values depend on the")
 	fmt.Fprintln(w, "reconstructed testbeds (see DESIGN.md); qualitative shapes reproduce the")
 	fmt.Fprintln(w, "paper and are enforced by the tests in internal/exp.")
 
-	// Table 1.
-	rows1, err := Table1()
+	// Table 4 and the SRR crossover share one Table4 call: its SigSeT
+	// selection is most of the report's time.
+	res4, err := Table4(seed)
+	if err != nil {
+		return err
+	}
+	for _, section := range []func() error{
+		func() error { return MarkdownTable1(w) },
+		func() error { MarkdownTable2(w); return nil },
+		func() error { return MarkdownTable3(w, seed) },
+		func() error { MarkdownTable4(w, res4); return nil },
+		func() error { return MarkdownTable5(w, seed) },
+		func() error { return MarkdownTable6(w, seed) },
+		func() error { return MarkdownTable7(w) },
+		func() error { return MarkdownFig5(w) },
+		func() error { return MarkdownFig6(w, seed) },
+		func() error { return MarkdownFig7(w, seed) },
+		func() error { return MarkdownWidthSweep(w, []int{16, 32, 64}) },
+		func() error { MarkdownSRRCrossover(w, res4); return nil },
+		func() error { return MarkdownSelectionBaselines(w, seed) },
+		func() error { return MarkdownTaggingAblation(w, seed) },
+		func() error { return MarkdownDepthStudy(w, []int{4, 16, 64, 128}, seed) },
+	} {
+		if err := section(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// table writes a markdown table's header row and separator after a blank
+// line.
+func table(w io.Writer, cols ...string) {
+	fmt.Fprintf(w, "\n| %s |\n|%s\n", strings.Join(cols, " | "), strings.Repeat("---|", len(cols)))
+}
+
+// MarkdownTable1 writes the usage-scenario table.
+func MarkdownTable1(w io.Writer) error {
+	rows, err := Table1()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Table 1 — usage scenarios")
-	fmt.Fprintln(w, "\n| Scenario | Flows (states, messages) | IPs | Root causes |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, r := range rows1 {
+	table(w, "Scenario", "Flows (states, messages)", "IPs", "Root causes")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %s | %s | %s | %d |\n",
 			r.Scenario, strings.Join(r.Flows, ", "), strings.Join(r.IPs, ", "), r.RootCauses)
 	}
+	return nil
+}
 
-	// Table 2.
+// MarkdownTable2 writes the representative injected bugs.
+func MarkdownTable2(w io.Writer) {
 	fmt.Fprintln(w, "\n## Table 2 — representative injected bugs")
-	fmt.Fprintln(w, "\n| Bug | Depth | Category | IP | Type |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
+	table(w, "Bug", "Depth", "Category", "IP", "Type")
 	for _, b := range Table2() {
 		fmt.Fprintf(w, "| %d | %d | %s | %s | %s |\n", b.ID, b.Depth, b.Category, b.IP, b.Description)
 	}
+}
 
-	// Table 3.
-	rows3, err := Table3(seed)
+// MarkdownTable3 writes utilization, coverage and localization per case
+// study.
+func MarkdownTable3(w io.Writer, seed int64) error {
+	rows, err := Table3(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Table 3 — utilization, coverage, localization (32-bit buffer)")
-	fmt.Fprintln(w, "\n| Case | Scenario | Util WP | Util WoP | Cov WP | Cov WoP | Loc WP | Loc WoP |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|")
-	for _, r := range rows3 {
+	table(w, "Case", "Scenario", "Util WP", "Util WoP", "Cov WP", "Cov WoP", "Loc WP", "Loc WoP")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %d | %s | %s | %s | %s | %s | %s | %s |\n",
 			r.CaseStudy, r.Scenario,
 			FormatPercent(r.UtilWP), FormatPercent(r.UtilWoP),
@@ -54,175 +104,252 @@ func RenderMarkdown(w io.Writer, seed int64) error {
 	}
 	fmt.Fprintln(w, "\nPaper: up to 100% utilization (avg 98.96%) and up to 99.86% coverage with")
 	fmt.Fprintln(w, "packing; localization needs no more than 6.11% of paths (0.31% with packing).")
+	return nil
+}
 
-	// Table 4.
-	res4, err := Table4(seed)
-	if err != nil {
-		return err
-	}
+// MarkdownTable4 writes the USB signal selections and the §5.4
+// reconstruction and coverage aggregates.
+func MarkdownTable4(w io.Writer, res *Table4Result) {
 	fmt.Fprintln(w, "\n## Table 4 — USB signal selection")
-	fmt.Fprintln(w, "\n| Signal | Module | SigSeT | PRNet | InfoGain |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, r := range res4.Rows {
+	table(w, "Signal", "Module", "SigSeT", "PRNet", "InfoGain")
+	for _, r := range res.Rows {
 		fmt.Fprintf(w, "| %s | %s | %s | %s | %s |\n", r.Signal, r.Module, r.SigSeT, r.PRNet, r.InfoGain)
 	}
 	fmt.Fprintf(w, "\nReconstruction: SigSeT %s, PRNet %s (paper: ≤ 26%%). Coverage: InfoGain %s,"+
 		" SigSeT %s, PRNet %s (paper: 93.65%% / 9%% / 23.80%%).\n",
-		FormatPercent(res4.SigSeTReconstruction), FormatPercent(res4.PRNetReconstruction),
-		FormatPercent(res4.InfoGainCoverage), FormatPercent(res4.SigSeTCoverage),
-		FormatPercent(res4.PRNetCoverage))
+		FormatPercent(res.SigSeTReconstruction), FormatPercent(res.PRNetReconstruction),
+		FormatPercent(res.InfoGainCoverage), FormatPercent(res.SigSeTCoverage),
+		FormatPercent(res.PRNetCoverage))
+}
 
-	// Table 5.
-	rows5, err := Table5(seed)
+// MarkdownTable5 writes per-message bug coverage, importance and
+// selection.
+func MarkdownTable5(w io.Writer, seed int64) error {
+	rows, err := Table5(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Table 5 — message bug coverage and importance")
-	fmt.Fprintln(w, "\n| Msg | Name | Affecting bugs | Coverage | Importance | Selected | Scenarios |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
-	for _, r := range rows5 {
+	table(w, "Msg", "Name", "Affecting bugs", "Coverage", "Importance", "Selected", "Scenarios")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %s | %s | %s | %.2f | %s | %s | %s |\n",
 			r.Msg, r.Name, intList(r.AffectingBugs), r.BugCoverage,
 			importanceString(r.Importance), yn(r.Selected), intList(r.Scenarios))
 	}
+	return nil
+}
 
-	// Table 6.
-	rows6, err := Table6(seed)
+func intList(xs []int) string {
+	if len(xs) == 0 {
+		return "-"
+	}
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprint(x)
+	}
+	return strings.Join(parts, ",")
+}
+
+func importanceString(v float64) string {
+	if v <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+func yn(b bool) string {
+	if b {
+		return "Y"
+	}
+	return "N"
+}
+
+// MarkdownTable6 writes the debugging statistics.
+func MarkdownTable6(w io.Writer, seed int64) error {
+	rows, err := Table6(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Table 6 — diagnosed root causes")
-	fmt.Fprintln(w, "\n| Case | Flows | Legal pairs | Investigated | Messages | Root caused function |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|")
-	for _, r := range rows6 {
+	table(w, "Case", "Flows", "Legal pairs", "Investigated", "Messages", "Root caused function")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %d | %d | %d | %d | %d | %s |\n",
 			r.CaseStudy, r.Flows, r.LegalPairs, r.PairsInvestigated, r.MessagesInvestigated,
 			strings.Join(r.RootCausedFunctions, " / "))
 	}
+	return nil
+}
 
-	// Table 7.
-	selected, rows7, err := Table7(1)
+// MarkdownTable7 writes the potential-root-cause catalog of case study 1,
+// the paper's §5.7 walkthrough.
+func MarkdownTable7(w io.Writer) error {
+	selected, rows, err := Table7(1)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Table 7 — potential root causes (case study 1)")
 	fmt.Fprintf(w, "\nSelected messages: %s\n", strings.Join(selected, ", "))
-	fmt.Fprintln(w, "\n| # | Potential cause | Implication |")
-	fmt.Fprintln(w, "|---|---|---|")
-	for i, r := range rows7 {
+	table(w, "#", "Potential cause", "Implication")
+	for i, r := range rows {
 		fmt.Fprintf(w, "| %d | %s | %s |\n", i+1, r.Cause, r.Implication)
 	}
+	return nil
+}
 
-	// Figure 5.
+// MarkdownFig5 writes each scenario's gain/coverage correlation; the
+// points themselves are RenderCSVFig5's.
+func MarkdownFig5(w io.Writer) error {
 	series, err := Fig5()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Figure 5 — gain vs coverage correlation")
-	fmt.Fprintln(w, "\n| Scenario | Candidates | Pearson | Spearman |")
-	fmt.Fprintln(w, "|---|---|---|---|")
+	table(w, "Scenario", "Candidates", "Pearson", "Spearman")
 	for _, s := range series {
 		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f |\n", s.Scenario, len(s.Points), s.Pearson, s.Spearman)
 	}
 	fmt.Fprintln(w, "\nPaper: coverage increases monotonically with mutual information gain.")
+	return nil
+}
 
-	// Figure 6 (endpoints only; full curves via -figure 6 -csv).
+// MarkdownFig6 writes each case study's elimination curves as their
+// endpoints; the per-step curves are RenderCSVFig6's.
+func MarkdownFig6(w io.Writer, seed int64) error {
 	curves, err := Fig6(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Figure 6 — progressive elimination (start → end)")
-	fmt.Fprintln(w, "\n| Case | Steps | IP pairs | Root causes |")
-	fmt.Fprintln(w, "|---|---|---|---|")
+	table(w, "Case", "Steps", "IP pairs", "Root causes")
 	for _, c := range curves {
 		n := len(c.Messages)
 		fmt.Fprintf(w, "| %d | %d | %d → %d | %d → %d |\n",
 			c.CaseStudy, n, c.PairCurve[0], c.PairCurve[n-1], c.CauseCurve[0], c.CauseCurve[n-1])
 	}
+	return nil
+}
 
-	// Figure 7.
-	rows7f, err := Fig7(seed)
+// MarkdownFig7 writes the root-cause pruning per case study.
+func MarkdownFig7(w io.Writer, seed int64) error {
+	rows, err := Fig7(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Figure 7 — root-cause pruning")
-	fmt.Fprintln(w, "\n| Case | Plausible | Pruned | Fraction |")
-	fmt.Fprintln(w, "|---|---|---|---|")
+	table(w, "Case", "Plausible", "Pruned", "Fraction")
 	sum := 0.0
-	for _, r := range rows7f {
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %d | %d | %d | %s |\n", r.CaseStudy, r.Plausible, r.Pruned, FormatPercent(r.Fraction))
 		sum += r.Fraction
 	}
 	fmt.Fprintf(w, "\nAverage pruned: %s (paper: 78.89%% average, 88.89%% max).\n",
-		FormatPercent(sum/float64(len(rows7f))))
-	return RenderMarkdownExtensions(w, seed)
+		FormatPercent(sum/float64(len(rows))))
+	return nil
 }
 
-// RenderMarkdownExtensions appends the deterministic extension studies
-// (everything except the wall-clock scaling table) to the markdown report.
-func RenderMarkdownExtensions(w io.Writer, seed int64) error {
-	// Width sweep.
+// MarkdownWidthSweep writes every usage scenario's width sweep at the
+// given widths.
+func MarkdownWidthSweep(w io.Writer, widths []int) error {
 	fmt.Fprintln(w, "\n## Extension — buffer-width sweep")
-	fmt.Fprintln(w, "\n| Scenario | Width | Selected | Packed | Utilization | Gain | Coverage |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
-	for sid := 1; sid <= 3; sid++ {
-		points, err := WidthSweep(sid, []int{16, 32, 64})
+	table(w, "Scenario", "Width", "Selected", "Packed", "Utilization", "Gain", "Coverage")
+	for _, s := range opensparc.Scenarios() {
+		points, err := WidthSweep(s.ID, widths)
 		if err != nil {
 			return err
 		}
 		for _, p := range points {
 			fmt.Fprintf(w, "| %d | %d | %d | %d | %s | %.4f | %s |\n",
-				sid, p.Width, p.Selected, p.Packed, FormatPercent(p.Utilization), p.Gain, FormatPercent(p.Coverage))
+				s.ID, p.Width, p.Selected, p.Packed, FormatPercent(p.Utilization), p.Gain, FormatPercent(p.Coverage))
 		}
 	}
+	return nil
+}
 
-	// SRR crossover.
-	cross, err := SRRCrossover(seed)
-	if err != nil {
-		return err
-	}
+// MarkdownSRRCrossover writes Table 4's selections scored on SRR and
+// flow-spec coverage.
+func MarkdownSRRCrossover(w io.Writer, res *Table4Result) {
 	fmt.Fprintln(w, "\n## Extension — SRR vs coverage crossover (USB)")
-	fmt.Fprintln(w, "\n| Method | SRR | FSP coverage |")
-	fmt.Fprintln(w, "|---|---|---|")
-	for _, r := range cross {
+	table(w, "Method", "SRR", "FSP coverage")
+	for _, r := range res.Crossover {
 		fmt.Fprintf(w, "| %s | %.2f | %s |\n", r.Method, r.SRR, FormatPercent(r.Coverage))
 	}
+}
 
-	// Selection baselines.
-	base, err := SelectionBaselines(seed)
+// MarkdownSelectionBaselines writes the selection-strategy comparison.
+func MarkdownSelectionBaselines(w io.Writer, seed int64) error {
+	rows, err := SelectionBaselines(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Extension — selection baselines (32-bit, packing off)")
-	fmt.Fprintln(w, "\n| Scenario | Method | Gain | Coverage |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, r := range base {
+	table(w, "Scenario", "Method", "Gain", "Coverage")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %s | %s | %.4f | %s |\n", r.Scenario, r.Method, r.Gain, FormatPercent(r.Coverage))
 	}
+	return nil
+}
 
-	// Tagging ablation.
-	tags, err := TaggingAblation(seed)
+// MarkdownTaggingAblation writes localization with and without instance
+// tags.
+func MarkdownTaggingAblation(w io.Writer, seed int64) error {
+	rows, err := TaggingAblation(seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Extension — tagging ablation (Definition 3)")
-	fmt.Fprintln(w, "\n| Workload | Instances | Tagged | Untagged |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, r := range tags {
+	table(w, "Workload", "Instances", "Tagged", "Untagged")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %s | %d | %s | %s |\n", r.Workload, r.Instances,
 			FormatPercent(r.Tagged), FormatPercent(r.Untagged))
 	}
+	return nil
+}
 
-	// Depth study.
-	depth, err := DepthStudy(1, []int{4, 16, 64, 128}, seed)
+// MarkdownDepthStudy writes case study 1's depth study at the given
+// buffer depths.
+func MarkdownDepthStudy(w io.Writer, depths []int, seed int64) error {
+	rows, err := DepthStudy(1, depths, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n## Extension — buffer-depth study (case study 1)")
-	fmt.Fprintln(w, "\n| Depth | Captured | Misclassified | Ground truth survives |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, r := range depth {
+	table(w, "Depth", "Captured", "Misclassified", "Ground truth survives")
+	for _, r := range rows {
 		fmt.Fprintf(w, "| %d | %d | %d | %v |\n", r.Depth, r.Captured, r.Misclassified, r.GroundTruthSurvives)
 	}
+	return nil
+}
+
+// MarkdownLocalizationCurve writes every case study's localization after
+// each observed trace entry. It is not part of the report.
+func MarkdownLocalizationCurve(w io.Writer, seed int64) error {
+	fmt.Fprintln(w, "\n## Extension — localization vs observed trace length")
+	table(w, "Case", "Observed", "Localization")
+	for _, cs := range opensparc.CaseStudies() {
+		points, err := LocalizationCurve(cs.ID, seed)
+		if err != nil {
+			return err
+		}
+		for _, p := range points {
+			fmt.Fprintf(w, "| %d | %d | %s |\n", cs.ID, p.Observed, FormatPercent(p.Localization))
+		}
+	}
+	return nil
+}
+
+// MarkdownScaling writes the selection-runtime table. Its times are
+// wall-clock, so it is not part of the report.
+func MarkdownScaling(w io.Writer, seed int64) error {
+	rows, err := Scaling(seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\n## Extension — app-level vs gate-level SRR selection time")
+	table(w, "Approach", "Problem", "Size", "Time")
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s | %s | %s | %s |\n", r.Approach, r.Problem, r.Size, r.Elapsed.Round(10*time.Microsecond))
+	}
+	fmt.Fprintln(w, "\nThe T2 has ~100k flip-flops; extrapolating the SRR trend explains why the")
+	fmt.Fprintln(w, "paper's baselines could only be run on the USB design (§5.4).")
 	return nil
 }

@@ -2,60 +2,60 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
-func TestRenderTables(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderTable1(&buf); err != nil {
-		t.Fatal(err)
+// reportSection returns the rendered report's section whose heading
+// starts with title: from the blank line before its heading to the next
+// section's.
+func reportSection(t *testing.T, title string) string {
+	t.Helper()
+	report := string(renderedReport(t))
+	i := strings.Index(report, "\n## "+title)
+	if i < 0 {
+		t.Fatalf("report has no %q section", title)
 	}
-	RenderTable2(&buf)
-	if err := RenderTable3(&buf, seed); err != nil {
-		t.Fatal(err)
+	if n := strings.Index(report[i+1:], "\n## "); n >= 0 {
+		return report[i : i+1+n]
 	}
-	if err := RenderTable5(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderTable6(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderTable7(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Table 1", "PIOR (6, 5)",
-		"Table 2", "wrong command generation",
-		"Table 3", "Utilization WP/WoP", "96.88%",
-		"Table 5", "mondoacknack",
-		"Table 6", "Root caused function", "Non-generation of Mondo interrupt",
-		"Table 7", "selected messages",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering missing %q", want)
+	return report[i:]
+}
+
+// checkSections runs each section writer alone and requires the bytes
+// the report prints for it: paperbench's section flags and the report
+// share one writer per section.
+func checkSections(t *testing.T, sections map[string]func(io.Writer) error) {
+	t.Helper()
+	for title, write := range sections {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%s: %v", title, err)
+		}
+		if want := reportSection(t, title); buf.String() != want {
+			t.Errorf("%s section drifted from the report's:\n got:\n%s\nwant:\n%s", title, buf.String(), want)
 		}
 	}
 }
 
+func TestRenderTables(t *testing.T) {
+	checkSections(t, map[string]func(io.Writer) error{
+		"Table 1": MarkdownTable1,
+		"Table 2": func(w io.Writer) error { MarkdownTable2(w); return nil },
+		"Table 3": func(w io.Writer) error { return MarkdownTable3(w, seed) },
+		"Table 5": func(w io.Writer) error { return MarkdownTable5(w, seed) },
+		"Table 6": func(w io.Writer) error { return MarkdownTable6(w, seed) },
+		"Table 7": MarkdownTable7,
+	})
+}
+
 func TestRenderFigures(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderFig5(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderFig6(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderFig7(&buf, seed); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Figure 5", "Spearman", "Figure 6", "causes left", "Figure 7", "average pruned"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure rendering missing %q", want)
-		}
-	}
+	checkSections(t, map[string]func(io.Writer) error{
+		"Figure 5": MarkdownFig5,
+		"Figure 6": func(w io.Writer) error { return MarkdownFig6(w, seed) },
+		"Figure 7": func(w io.Writer) error { return MarkdownFig7(w, seed) },
+	})
 }
 
 func TestRenderCSVFigures(t *testing.T) {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -68,20 +67,4 @@ func Scaling(seed int64) ([]ScalingRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderScaling prints the timing table.
-func RenderScaling(w io.Writer, seed int64) error {
-	rows, err := Scaling(seed)
-	if err != nil {
-		return err
-	}
-	header(w, "Scalability: application-level selection vs gate-level SRR selection")
-	fmt.Fprintf(w, "%-16s %-20s %-28s %s\n", "Approach", "Problem", "Size", "Time")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-20s %-28s %s\n", r.Approach, r.Problem, r.Size, r.Elapsed.Round(10*time.Microsecond))
-	}
-	fmt.Fprintln(w, "\nThe T2 has ~100k flip-flops; extrapolating the SRR trend explains why the")
-	fmt.Fprintln(w, "paper's baselines could only be run on the USB design (§5.4).")
-	return nil
 }

@@ -1,8 +1,7 @@
 package exp
 
 import (
-	"bytes"
-	"strings"
+	"io"
 	"testing"
 )
 
@@ -37,54 +36,13 @@ func TestWidthSweepMonotone(t *testing.T) {
 	}
 }
 
-// §5.4 quantified: SigSeT tops SRR, InfoGain tops coverage, and each loses
-// badly on the other axis.
-func TestSRRCrossover(t *testing.T) {
-	rows, err := SRRCrossover(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byMethod := map[string]SRRRow{}
-	for _, r := range rows {
-		byMethod[r.Method] = r
-	}
-	sig, ours := byMethod["SigSeT"], byMethod["InfoGain"]
-	if sig.SRR <= ours.SRR {
-		t.Errorf("SigSeT SRR %.2f should beat InfoGain SRR %.2f", sig.SRR, ours.SRR)
-	}
-	if ours.Coverage <= sig.Coverage {
-		t.Errorf("InfoGain coverage %.4f should beat SigSeT coverage %.4f", ours.Coverage, sig.Coverage)
-	}
-	if sig.SRR < 2 {
-		t.Errorf("SigSeT SRR = %.2f; the SRR-optimized selection should restore several states per traced bit", sig.SRR)
-	}
-	if ours.Coverage < 0.9 {
-		t.Errorf("InfoGain coverage = %.4f", ours.Coverage)
-	}
-	// The rendered table, from the same rows.
-	var buf bytes.Buffer
-	writeSRRCrossover(&buf, rows)
-	for _, want := range []string{"SRR vs flow-spec coverage", "InfoGain"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("crossover rendering missing %q", want)
-		}
-	}
-}
-
+// The width-sweep and depth sections print the report's bytes at the
+// report's widths and depths.
 func TestRenderSweeps(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RenderWidthSweep(&buf, []int{16, 32}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Buffer-width sweep", "Scenario 3"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep rendering missing %q", want)
-		}
-	}
+	checkSections(t, map[string]func(io.Writer) error{
+		"Extension — buffer-width sweep": func(w io.Writer) error { return MarkdownWidthSweep(w, []int{16, 32, 64}) },
+		"Extension — buffer-depth study": func(w io.Writer) error { return MarkdownDepthStudy(w, []int{4, 16, 64, 128}, seed) },
+	})
 }
 
 // The scalability claim: application-level selection is orders of

@@ -5,7 +5,9 @@ import (
 
 	"tracescale/internal/core"
 	"tracescale/internal/flow"
+	"tracescale/internal/netlist"
 	"tracescale/internal/pipeline"
+	"tracescale/internal/restore"
 	"tracescale/internal/sigsel"
 	"tracescale/internal/usb"
 )
@@ -19,8 +21,18 @@ type Table4Row struct {
 	InfoGain sigsel.BusStatus
 }
 
+// SRRRow compares one selection method on both axes: the metric SRR-based
+// tools optimize (state restoration) and the metric use-case debugging
+// needs (flow-spec coverage).
+type SRRRow struct {
+	Method   string
+	SRR      float64
+	Coverage float64
+}
+
 // Table4Result is the full baseline comparison on the USB design: the
-// per-signal selections (Table 4) plus the §5.4 aggregate metrics.
+// per-signal selections (Table 4), the §5.4 aggregate metrics and the
+// SRR-vs-coverage crossover of the same three selections.
 type Table4Result struct {
 	Rows []Table4Row
 	// Reconstruction is the fraction of interface-bus state each baseline
@@ -37,11 +49,17 @@ type Table4Result struct {
 	// InfoGainSelected is the application-level selection (all 10 signals
 	// fit the 32-bit buffer).
 	InfoGainSelected []string
+	// Crossover quantifies §5.4's "optimizing the wrong metric": SigSeT
+	// wins state restoration while the information-gain selection wins
+	// flow-spec coverage — each method tops the axis it optimizes. Rows
+	// are SigSeT, PRNet, InfoGain.
+	Crossover []SRRRow
 }
 
 // Table4 reproduces Table 4 and the §5.4 comparison: SigSeT, PRNet, and
 // the information-gain method select trace signals for the USB design
-// under a 32-bit budget.
+// under a 32-bit budget, and each selection is scored on both SRR and
+// coverage.
 func Table4(seed int64) (*Table4Result, error) {
 	n := usb.Design()
 
@@ -54,8 +72,6 @@ func Table4(seed int64) (*Table4Result, error) {
 		return nil, fmt.Errorf("exp: PRNet: %w", err)
 	}
 
-	// Same USB instance set as the SRR crossover study: the Session cache
-	// deduplicates the interleaving, evaluator, and selection across both.
 	ses, err := pipeline.For([]flow.Instance{
 		{Flow: usb.TokenRX(n), Index: 1},
 		{Flow: usb.DataTX(n), Index: 1},
@@ -112,6 +128,33 @@ func Table4(seed int64) (*Table4Result, error) {
 	}
 	if res.PRNetCoverage, err = coverage(prSel); err != nil {
 		return nil, err
+	}
+
+	// The information-gain selection traces interface buses; its flip-flop
+	// set is the union of the selected buses' bits.
+	var oursFFs []int
+	for _, name := range res.InfoGainSelected {
+		oursFFs = append(oursFFs, n.Bus(name)...)
+	}
+	tr := netlist.Record(n, cycles, seed)
+	for _, m := range []struct {
+		name string
+		ffs  []int
+		cov  float64
+	}{
+		{"SigSeT", sigSel, res.SigSeTCoverage},
+		{"PRNet", prSel, res.PRNetCoverage},
+		{"InfoGain", oursFFs, res.InfoGainCoverage},
+	} {
+		row := SRRRow{Method: m.name, Coverage: m.cov}
+		if len(m.ffs) > 0 {
+			r, err := restore.Restore(tr, m.ffs)
+			if err != nil {
+				return nil, err
+			}
+			row.SRR = r.SRR
+		}
+		res.Crossover = append(res.Crossover, row)
 	}
 	return res, nil
 }

@@ -514,6 +514,9 @@ func (r *Result) Scenario(name string, instances, bufferWidth int) (*spec.Scenar
 	if instances < 1 {
 		return nil, fmt.Errorf("mine: instances %d must be positive", instances)
 	}
+	if bufferWidth < 1 {
+		return nil, fmt.Errorf("mine: bufferWidth %d must be positive", bufferWidth)
+	}
 	flows, err := r.Materialize(name)
 	if err != nil {
 		return nil, err

@@ -369,6 +369,11 @@ func TestCorpusErrors(t *testing.T) {
 	if _, err := r.Scenario("m", 0, 32); err == nil {
 		t.Error("zero instances accepted")
 	}
+	for _, width := range []int{0, -5} {
+		if _, err := r.Scenario("m", 1, width); err == nil || !strings.Contains(err.Error(), "bufferWidth") {
+			t.Errorf("buffer width %d: err = %v", width, err)
+		}
+	}
 	if _, err := (&Result{Flows: []*Mined{{}}}).Scenario("m", 1, 32); err == nil {
 		t.Error("empty mined flow materialized")
 	}

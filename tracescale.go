@@ -112,8 +112,9 @@ const (
 	// Exhaustive enumerates every width-feasible combination (the paper's
 	// Steps 1-2).
 	Exhaustive = core.Exhaustive
-	// Knapsack solves Step 2 exactly in polynomial time (the gain metric
-	// is additive across messages).
+	// Knapsack finds a maximum-gain combination in polynomial time (the
+	// gain metric is additive across messages); its coverage tie-break is
+	// a heuristic, so on gain ties its set can differ from Exhaustive's.
 	Knapsack = core.Knapsack
 	// Greedy picks by gain density; fastest, near-optimal.
 	Greedy = core.Greedy
