@@ -121,10 +121,11 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *cacheS {
-		// The Session cache is shared by every experiment; the counters show
-		// how many re-interleavings the pipeline layer saved this run.
-		hits, misses := exp.CacheStats()
-		fmt.Fprintf(w, "session cache: %d hits, %d misses\n", hits, misses)
+		// The Session cache is shared by every experiment and records into
+		// obs.Default; the counters show how many analyses the pipeline
+		// layer saved this run.
+		snap := obs.Default.Snapshot()
+		fmt.Fprintf(w, "session cache: %d hits, %d misses\n", snap["pipeline.cache.hits"], snap["pipeline.cache.misses"])
 	}
 	if *metrics != "" {
 		return writeMetrics(*metrics, *seed)

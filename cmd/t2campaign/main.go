@@ -77,8 +77,6 @@ func run(args []string, w io.Writer) error {
 		workers  = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); any value yields the same report")
 		sets     = fs.String("sets", "mi,reconstruct,widest,pagerank,random", "comma-separated message sets to score")
 		jsonPath = fs.String("json", "", "write the full deterministic JSON report to this file")
-		timeout  = fs.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
-		retries  = fs.Int("retries", 1, "retries per timed-out run")
 		metrics  = fs.String("metrics-json", "", "write the observability snapshot (campaign.*, and the set building's pipeline.*, core.*, interleave.*, reconstruct.*) as JSON to this file")
 		mined    = fs.Bool("mined", false, "also score every set selected under specs mined from golden traces (mined-vs-truth)")
 	)
@@ -103,8 +101,6 @@ func run(args []string, w io.Writer) error {
 	}
 	spec.Reps = *reps
 	spec.Workers = *workers
-	spec.Timeout = *timeout
-	spec.Retries = *retries
 	spec.Obs = reg
 
 	rep, err := campaign.Run(spec)

@@ -22,6 +22,13 @@ func TestRunUsageError(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, &buf); err != errUsage {
 		t.Fatalf("bad flag: err = %v, want errUsage", err)
 	}
+	// A grid point runs once with no wall-clock bound: there is no flag
+	// to time it out or retry it.
+	for _, args := range [][]string{{"-timeout", "1s"}, {"-retries", "2"}} {
+		if err := run(args, &buf); err != errUsage {
+			t.Errorf("%v: err = %v, want errUsage", args, err)
+		}
+	}
 }
 
 func TestRunRejectsUnknownSet(t *testing.T) {

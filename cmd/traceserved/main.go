@@ -16,8 +16,9 @@
 //
 // POST /select/batch runs many option sets against one scenario in a
 // single request (capped by -max-batch), one after another; duplicate
-// option sets cost one scan. Selections are answered from a content-addressed result store
-// first — give it -store-dir to persist results across restarts.
+// option sets cost one scan. Selections are answered from a
+// content-addressed, in-memory result store first (-store-capacity bounds
+// it), so a repeated selection costs no scan.
 //
 // POST /reconstruct answers the debug-side question: given the scenario,
 // the "traced" signal set, and the "observed" projection read back from
@@ -77,7 +78,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request selection timeout (0 = none)")
 		cacheCap  = fs.Int("cache-capacity", 64, "session cache capacity (0 = unbounded)")
 		drainWait = fs.Duration("drain", 10*time.Second, "shutdown grace for in-flight requests")
-		storeDir  = fs.String("store-dir", "", "directory to spill the result store to (empty = memory only)")
 		storeCap  = fs.Int("store-capacity", 512, "in-memory result store capacity (0 = unbounded)")
 		maxBatch  = fs.Int("max-batch", serve.DefaultMaxBatch, "option sets per /select/batch request")
 	)
@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return errUsage
 	}
 	reg := obs.NewRegistry()
-	store, err := pipeline.NewResultStore(reg, *storeCap, *storeDir)
+	store, err := pipeline.NewResultStore(reg, *storeCap, "")
 	if err != nil {
 		return err
 	}

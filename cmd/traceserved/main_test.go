@@ -225,6 +225,10 @@ func TestRunBadInvocation(t *testing.T) {
 	if err := run(context.Background(), []string{"stray-arg"}, &out); err != errUsage {
 		t.Errorf("stray positional arg: err = %v, want errUsage", err)
 	}
+	// The result store is memory-only: there is no flag to spill it.
+	if err := run(context.Background(), []string{"-store-dir", t.TempDir()}, &out); err != errUsage {
+		t.Errorf("-store-dir: err = %v, want errUsage", err)
+	}
 	if err := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &out); err == nil {
 		t.Error("unlistenable address: err = nil, want listen failure")
 	}

@@ -24,13 +24,13 @@
 //
 // # Isolation
 //
-// Each grid point executes in its own goroutine: a panicking run is
-// recovered and recorded as Outcome "panic" instead of taking down the
-// campaign, and a run that exceeds the per-run wall-clock Timeout is
-// abandoned and retried up to Retries times before being recorded as
-// Outcome "timeout". With no Timeout configured (the default, and the mode
-// every determinism guarantee is stated for), no wall clock influences any
-// recorded result.
+// Each grid point runs once, on the worker goroutine that picked it up: a
+// panicking run is recovered there and recorded as Outcome "panic" instead
+// of taking down the campaign, and the worker goes on to its next point.
+// No wall clock bounds a point, because none can run away: the simulator
+// stops at its cycle bound, a dropped message wedges its instance rather
+// than looping, the diff makes one pass per run, and a debugging session
+// takes one step per traced message.
 package campaign
 
 import (
@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -117,12 +116,6 @@ type Spec struct {
 	// Workers bounds the goroutines runs are sharded across (default
 	// GOMAXPROCS). Any worker count produces a byte-identical Report.
 	Workers int
-	// Timeout is the per-attempt wall-clock bound; zero (the default)
-	// disables it and keeps the campaign fully clock-free.
-	Timeout time.Duration
-	// Retries bounds how often a timed-out run is retried before being
-	// recorded as Outcome "timeout".
-	Retries int
 	// MaxCycles is the per-run simulation bound (zero = the simulator's
 	// default hang threshold).
 	MaxCycles uint64
@@ -133,9 +126,9 @@ type Spec struct {
 	// the Report verbatim; empty means no mined sets (legacy reports stay
 	// byte-identical).
 	Mining []MiningInfo
-	// Obs receives campaign.* metrics (runs started/completed/timed-out/
-	// retried, per-bug symptom counters, wall-time histograms). Nil
-	// disables instrumentation (the obs contract).
+	// Obs receives campaign.* metrics (runs started/completed, per-outcome
+	// and per-bug symptom counters, wall-time histograms). Nil disables
+	// instrumentation (the obs contract).
 	Obs *obs.Registry
 
 	// scorers holds, per scenario and set, what Run compiles before the
@@ -159,7 +152,8 @@ const (
 	// OutcomePass: the run finished clean (the bug never armed or never
 	// perturbed an event).
 	OutcomePass = "pass"
-	// OutcomeTimeout: every attempt exceeded Spec.Timeout.
+	// OutcomeTimeout is never recorded: Run bounds no point by wall
+	// clock. It stays so callers that tally every outcome still compile.
 	OutcomeTimeout = "timeout"
 	// OutcomePanic: the run panicked; Detail carries the panic value.
 	OutcomePanic = "panic"
@@ -376,9 +370,9 @@ func setNames(s *Spec) []string {
 	return out
 }
 
-// runPoint executes one grid point with bounded retry-on-timeout, recording
-// the lifecycle counters.
-func (s *Spec) runPoint(idx int, pt point) RunRecord {
+// runPoint executes one grid point on the calling worker, recording a
+// panic as Outcome "panic", and records the lifecycle counters.
+func (s *Spec) runPoint(idx int, pt point) (rec RunRecord) {
 	reg := s.Obs
 	reg.Counter("campaign.runs.started").Inc()
 	var start time.Time
@@ -386,72 +380,32 @@ func (s *Spec) runPoint(idx int, pt point) RunRecord {
 		//lint:ignore clockrand registry-gated wall-time metrics; never reaches the Report
 		start = time.Now()
 	}
-	var rec RunRecord
-	for try := 0; ; try++ {
-		var ok bool
-		rec, ok = s.attempt(idx, pt)
-		rec.Attempts = try + 1
-		if ok {
-			reg.Counter("campaign.runs.completed").Inc()
-			break
+	defer func() {
+		if p := recover(); p != nil {
+			rec = s.baseRecord(idx, pt)
+			rec.Outcome = OutcomePanic
+			rec.Detail = fmt.Sprint(p)
 		}
-		reg.Counter("campaign.runs.timed_out").Inc()
-		if try >= s.Retries {
-			rec.Outcome = OutcomeTimeout
-			rec.Detail = fmt.Sprintf("every attempt exceeded %v", s.Timeout)
-			break
+		reg.Counter("campaign.runs.completed").Inc()
+		reg.Counter("campaign.outcome." + rec.Outcome).Inc()
+		if rec.Symptoms > 0 {
+			reg.Add("campaign.symptoms", int64(rec.Symptoms))
+			reg.Add(fmt.Sprintf("campaign.bug.%d.symptoms", rec.Bug), int64(rec.Symptoms))
 		}
-		reg.Counter("campaign.runs.retried").Inc()
-	}
-	reg.Counter("campaign.outcome." + rec.Outcome).Inc()
-	if rec.Symptoms > 0 {
-		reg.Add("campaign.symptoms", int64(rec.Symptoms))
-		reg.Add(fmt.Sprintf("campaign.bug.%d.symptoms", rec.Bug), int64(rec.Symptoms))
-	}
-	if reg != nil {
-		//lint:ignore clockrand registry-gated wall-time metrics; never reaches the Report
-		reg.Histogram("campaign.run_wall_us", runWallBounds).Observe(time.Since(start).Microseconds())
-	}
-	return rec
+		if reg != nil {
+			//lint:ignore clockrand registry-gated wall-time metrics; never reaches the Report
+			reg.Histogram("campaign.run_wall_us", runWallBounds).Observe(time.Since(start).Microseconds())
+		}
+	}()
+	return s.execute(idx, pt)
 }
 
 // runWallBounds buckets campaign.run_wall_us: scenario runs span ~ms
 // (small grids) to ~seconds (deep hang scans).
 var runWallBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// attempt executes one run in a child goroutine, isolating panics and
-// bounding wall time. ok is false when the attempt timed out; the
-// abandoned goroutine finishes on its own (the simulator always terminates
-// at its cycle bound) and its result is discarded.
-func (s *Spec) attempt(idx int, pt point) (RunRecord, bool) {
-	scn := &s.Scenarios[pt.si]
-	bug := scn.Bugs[pt.bi]
-	ch := make(chan RunRecord, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				rec := s.baseRecord(idx, pt)
-				rec.Outcome = OutcomePanic
-				rec.Detail = fmt.Sprint(p)
-				ch <- rec
-			}
-		}()
-		ch <- s.execute(idx, pt, scn, bug)
-	}()
-	if s.Timeout <= 0 {
-		return <-ch, true
-	}
-	timer := time.NewTimer(s.Timeout)
-	defer timer.Stop()
-	select {
-	case rec := <-ch:
-		return rec, true
-	case <-timer.C:
-		return s.baseRecord(idx, pt), false
-	}
-}
-
-// baseRecord fills the identity fields every outcome carries.
+// baseRecord fills the fields every outcome carries: the point's identity
+// and its one attempt.
 func (s *Spec) baseRecord(idx int, pt point) RunRecord {
 	scn := &s.Scenarios[pt.si]
 	bug := scn.Bugs[pt.bi]
@@ -463,15 +417,17 @@ func (s *Spec) baseRecord(idx int, pt point) RunRecord {
 		Target:   bug.Target,
 		Rep:      pt.rep,
 		Seed:     DerivedSeed(s.Seed, idx),
+		Attempts: 1,
 	}
 }
 
 // execute is one full run: golden and buggy simulations at the derived
 // seed, one diff of the pair, then one observation + debugging session per
 // message set. The runs and the sessions read one stream of the seed, each
-// from its start, so the point seeds one source; the stream belongs to
-// this call, so an abandoned attempt never shares it with its retry.
-func (s *Spec) execute(idx int, pt point, scn *Scenario, bug inject.Bug) RunRecord {
+// from its start, so the point seeds one source.
+func (s *Spec) execute(idx int, pt point) RunRecord {
+	scn := &s.Scenarios[pt.si]
+	bug := scn.Bugs[pt.bi]
 	rec := s.baseRecord(idx, pt)
 	sc := soc.Scenario{Name: scn.Name, Launches: scn.Launches}
 	stream := prng.New(rec.Seed)
@@ -552,8 +508,8 @@ func scoreSet(name string, sc scorer, bug inject.Bug, diff *debugger.Diff, strea
 }
 
 // scorecards aggregates per-set scores across the whole grid. Records are
-// walked in ascending grid index and distinct-bug sets are sorted before
-// counting, so aggregation is independent of run completion order.
+// walked in ascending grid index, so aggregation is independent of run
+// completion order.
 func scorecards(sets []string, records []RunRecord) []Scorecard {
 	cards := make([]Scorecard, len(sets))
 	for k, name := range sets {
@@ -563,7 +519,7 @@ func scorecards(sets []string, records []RunRecord) []Scorecard {
 		depthSum, plausibleSum := 0, 0
 		for _, r := range records {
 			if len(r.Scores) <= k {
-				continue // timed-out, panicked, or errored runs carry no scores
+				continue // panicked or errored runs carry no scores
 			}
 			sc := r.Scores[k]
 			if sc.Detected {
@@ -581,8 +537,8 @@ func scorecards(sets []string, records []RunRecord) []Scorecard {
 				bugsLocalized[r.Bug] = true
 			}
 		}
-		card.BugsDetected = sortedCount(bugsDetected)
-		card.BugsLocalized = sortedCount(bugsLocalized)
+		card.BugsDetected = len(bugsDetected)
+		card.BugsLocalized = len(bugsLocalized)
 		if card.SymptomRuns > 0 {
 			card.MeanDepth = float64(depthSum) / float64(card.SymptomRuns)
 			card.MeanPlausible = float64(plausibleSum) / float64(card.SymptomRuns)
@@ -619,16 +575,4 @@ func specSuffix(spec string) string {
 		return ""
 	}
 	return "(" + spec + ")"
-}
-
-// sortedCount counts a set's members via its sorted key list — the
-// collect-then-sort idiom, so no map-order dependence can creep into
-// future aggregation changes.
-func sortedCount(set map[int]bool) int {
-	keys := make([]int, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return len(keys)
 }

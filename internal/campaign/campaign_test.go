@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"tracescale/internal/debugger"
 	"tracescale/internal/flow"
@@ -126,7 +125,7 @@ func TestCampaignScorecards(t *testing.T) {
 			t.Errorf("run %d seed = %d, want DerivedSeed(%d, %d)", i, r.Seed, spec.Seed, i)
 		}
 		if r.Attempts != 1 {
-			t.Errorf("run %d attempts = %d, want 1 (no timeout configured)", i, r.Attempts)
+			t.Errorf("run %d attempts = %d, want 1 (every point runs once)", i, r.Attempts)
 		}
 	}
 
@@ -282,6 +281,58 @@ func TestCampaignPanicIsolation(t *testing.T) {
 	}
 }
 
+// A panic is recovered on the worker that ran the point: with one worker,
+// the points after a panicking scenario's run on the same goroutine and
+// still score, and the panic records keep their identity fields.
+func TestCampaignPanicOnSharedWorker(t *testing.T) {
+	reg := obs.NewRegistry()
+	spec := testSpec(t)
+	spec.Reps, spec.Workers, spec.Obs = 1, 1, reg
+	broken := testScenario(t, "broken", 4)
+	broken.Launches = []soc.Launch{{Flow: nil, Index: 1}}
+	spec.Scenarios = []Scenario{broken, testScenario(t, "t", 4)}
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != 6 {
+		t.Fatalf("%d records, want 6 (2 scenarios × 3 bugs)", len(rep.Runs))
+	}
+	for i, r := range rep.Runs {
+		scn, bug := spec.Scenarios[i/3], spec.Scenarios[i/3].Bugs[i%3]
+		if r.Index != i || r.Scenario != scn.Name || r.Bug != bug.ID || r.Seed != DerivedSeed(spec.Seed, i) || r.Attempts != 1 {
+			t.Errorf("run %d identity = index %d, scenario %q, bug %d, seed %d, attempts %d; want %d, %q, %d, %d, 1",
+				i, r.Index, r.Scenario, r.Bug, r.Seed, r.Attempts, i, scn.Name, bug.ID, DerivedSeed(spec.Seed, i))
+		}
+		if i < 3 {
+			if r.Outcome != OutcomePanic || r.Detail == "" || len(r.Scores) != 0 {
+				t.Errorf("run %d = %q (%q) with %d scores, want a panic with detail and no scores",
+					i, r.Outcome, r.Detail, len(r.Scores))
+			}
+			continue
+		}
+		if r.Outcome != OutcomeSymptom || len(r.Scores) != 2 {
+			t.Errorf("run %d after the panics = %q (%s) with %d scores, want a scored symptom run",
+				i, r.Outcome, r.Detail, len(r.Scores))
+		}
+	}
+	if all := rep.Card("all"); all.SymptomRuns != 3 || all.BugsLocalized != 3 {
+		t.Errorf("all: symptom runs/localized bugs = %d/%d, want 3/3", all.SymptomRuns, all.BugsLocalized)
+	}
+	snap := reg.Snapshot()
+	for key, want := range map[string]int64{
+		"campaign.runs.started":      6,
+		"campaign.runs.completed":    6,
+		"campaign.outcome.panic":     3,
+		"campaign.outcome.symptom":   3,
+		"campaign.run_wall_us.count": 6,
+	} {
+		if snap[key] != want {
+			t.Errorf("%s = %d, want %d", key, snap[key], want)
+		}
+	}
+}
+
 // A scoring failure (here: duplicate cause IDs rejected by debugger.Debug)
 // is recorded as OutcomeError with the error text.
 func TestCampaignErrorOutcome(t *testing.T) {
@@ -296,45 +347,6 @@ func TestCampaignErrorOutcome(t *testing.T) {
 		if r.Outcome != OutcomeError || !strings.Contains(r.Detail, "duplicate cause id") {
 			t.Errorf("run %d = %q (%s), want error about duplicate cause ids", i, r.Outcome, r.Detail)
 		}
-	}
-}
-
-// With a wall-clock timeout far below any plausible simulation time, every
-// attempt is abandoned and retried until the retry budget runs out.
-func TestCampaignTimeoutExhaustsRetries(t *testing.T) {
-	reg := obs.NewRegistry()
-	scn := testScenario(t, "slow", 4)
-	// Enough work that the run cannot finish before a 1ns timer fires.
-	scn.Launches = append(
-		soc.Repeat(scn.Flows[0], 2000, 1, 0, 4),
-		soc.Repeat(scn.Flows[1], 2000, 1, 2, 4)...)
-	scn.Bugs = scn.Bugs[:1]
-	spec := Spec{
-		Name:      "timeout",
-		Seed:      1,
-		Timeout:   time.Nanosecond,
-		Retries:   2,
-		Scenarios: []Scenario{scn},
-	}
-	spec.Obs = reg
-	rep, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rep.Runs[0]
-	if r.Outcome != OutcomeTimeout {
-		t.Fatalf("outcome = %q (%s), want timeout", r.Outcome, r.Detail)
-	}
-	if r.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", r.Attempts)
-	}
-	snap := reg.Snapshot()
-	if snap["campaign.runs.timed_out"] != 3 || snap["campaign.runs.retried"] != 2 {
-		t.Errorf("timed_out/retried = %d/%d, want 3/2",
-			snap["campaign.runs.timed_out"], snap["campaign.runs.retried"])
-	}
-	if snap["campaign.runs.completed"] != 0 {
-		t.Errorf("completed = %d, want 0", snap["campaign.runs.completed"])
 	}
 }
 

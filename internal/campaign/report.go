@@ -48,9 +48,9 @@ type RunRecord struct {
 	Seed     int64  `json:"seed"`
 	// Outcome is one of the Outcome* constants.
 	Outcome string `json:"outcome"`
-	// Detail carries the panic value, error text, or timeout note.
+	// Detail carries the panic value or the error text.
 	Detail string `json:"detail,omitempty"`
-	// Attempts counts tries including the successful one.
+	// Attempts is always 1: Run runs each point once and never retries.
 	Attempts int `json:"attempts"`
 	// Events / EndCycle / Symptoms describe the buggy run.
 	Events   int    `json:"events,omitempty"`
@@ -59,7 +59,7 @@ type RunRecord struct {
 	// FirstSymptom is the earliest symptom's kind ("Hang", "BadTrap").
 	FirstSymptom string `json:"first_symptom,omitempty"`
 	// Scores holds one entry per message set, in scenario Sets order.
-	// Absent on timed-out, panicked, and errored runs.
+	// Absent on panicked and errored runs.
 	Scores []RunScore `json:"scores,omitempty"`
 }
 
@@ -113,9 +113,8 @@ type Scorecard struct {
 }
 
 // Report is the campaign's complete, deterministic result. Two campaigns
-// with the same Spec (ignoring Obs, Workers, Timeout, and Retries — none
-// of which reach the report unless a timeout actually fires) serialize to
-// byte-identical JSON.
+// with the same Spec (ignoring Obs and Workers, neither of which reaches
+// the report) serialize to byte-identical JSON.
 type Report struct {
 	Name string   `json:"name"`
 	Seed int64    `json:"seed"`

@@ -63,10 +63,6 @@ func SelectScenario(s opensparc.Scenario) (*Selection, error) {
 	return &Selection{Scenario: s, Session: ses, Evaluator: ses.Evaluator(), WP: wp, WoP: wop}, nil
 }
 
-// CacheStats reports the shared session cache's hit/miss counters — how
-// much re-interleaving the Session layer saved an experiment run.
-func CacheStats() (hits, misses int) { return pipeline.Default.Stats() }
-
 // SimulateWorkloads replays every usage scenario's workload through the
 // SoC simulator, recording soc.* metrics into the default registry. The
 // analytic experiments (Figure 5, the tables that never simulate) leave

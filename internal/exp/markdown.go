@@ -22,7 +22,7 @@ import (
 // wall-clock scaling table have sections of their own outside the report.
 func RenderMarkdown(w io.Writer, seed int64) error {
 	fmt.Fprintf(w, "# tracescale evaluation report (seed %d)\n", seed)
-	fmt.Fprintln(w, "\nRegenerated by `paperbench -markdown`. Absolute values depend on the")
+	fmt.Fprintln(w, "\nRegenerated by `paperbench -all`. Absolute values depend on the")
 	fmt.Fprintln(w, "reconstructed testbeds (see DESIGN.md); qualitative shapes reproduce the")
 	fmt.Fprintln(w, "paper and are enforced by the tests in internal/exp.")
 

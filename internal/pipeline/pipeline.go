@@ -171,8 +171,6 @@ type Cache struct {
 	order    *list.List // front = least recently used
 	capacity int
 	obs      *obs.Registry
-	hits     int
-	misses   int
 }
 
 type cacheEntry struct {
@@ -204,7 +202,6 @@ func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	c.mu.Lock()
 	s := c.lookup(fp)
 	if s != nil {
-		c.hits++
 		c.obs.Counter("pipeline.cache.hits").Inc()
 	}
 	c.mu.Unlock()
@@ -217,7 +214,6 @@ func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.misses++
 	c.obs.Counter("pipeline.cache.misses").Inc()
 	if prior := c.lookup(fp); prior != nil {
 		return prior, nil // keep the first stored Session so callers share one
@@ -242,13 +238,6 @@ func (c *Cache) lookup(fp string) *Session {
 	}
 	c.order.MoveToBack(el)
 	return el.Value.(*cacheEntry).s
-}
-
-// Stats returns the cache's lifetime hit and miss counts.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Len returns the number of cached sessions.

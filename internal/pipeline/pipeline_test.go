@@ -54,7 +54,8 @@ func TestSessionSelectMatchesCore(t *testing.T) {
 }
 
 func TestCacheHitOnIdenticalScenario(t *testing.T) {
-	c := NewCacheObs(nil, 0)
+	reg := obs.NewRegistry()
+	c := NewCacheObs(reg, 0)
 	// Structurally identical instance sets built from distinct *Flow
 	// pointers must share one Session.
 	a, err := c.Session([]flow.Instance{
@@ -71,13 +72,14 @@ func TestCacheHitOnIdenticalScenario(t *testing.T) {
 	if a != b {
 		t.Error("identical scenarios got distinct Sessions")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("Stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+	if snap := reg.Snapshot(); snap["pipeline.cache.hits"] != 1 || snap["pipeline.cache.misses"] != 1 {
+		t.Errorf("pipeline.cache hits/misses = %d/%d, want 1/1", snap["pipeline.cache.hits"], snap["pipeline.cache.misses"])
 	}
 }
 
 func TestCacheMissOnChangedIndexOrWidth(t *testing.T) {
-	c := NewCacheObs(nil, 0)
+	reg := obs.NewRegistry()
+	c := NewCacheObs(reg, 0)
 	base, err := c.Session(ccInstances(2))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +116,7 @@ func TestCacheMissOnChangedIndexOrWidth(t *testing.T) {
 	if widened == base {
 		t.Error("changed message width reused the Session")
 	}
-	if hits, _ := c.Stats(); hits != 0 {
+	if hits := reg.Snapshot()["pipeline.cache.hits"]; hits != 0 {
 		t.Errorf("unexpected cache hits: %d", hits)
 	}
 }

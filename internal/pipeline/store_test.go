@@ -1,17 +1,14 @@
 package pipeline
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"tracescale/internal/core"
 	"tracescale/internal/obs"
 )
 
-// storedResult builds a small but fully-populated Result so round trips
-// exercise every field class (slices, nested structs, floats).
+// storedResult builds a small but fully-populated Result.
 func storedResult() *core.Result {
 	return &core.Result{
 		Selected:         []string{"ReqE", "GntE"},
@@ -96,67 +93,8 @@ func TestResultStoreCounters(t *testing.T) {
 	}
 }
 
-func TestResultStoreDiskSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s, err := NewResultStore(reg, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := storedResult()
-	s.Put("k1", res)
-	if reg.Snapshot()["pipeline.store.spill_writes"] != 1 {
-		t.Fatal("Put with a dir did not spill")
-	}
-
-	// A second store over the same directory — a restarted process — must
-	// answer from disk, byte-identically.
-	reg2 := obs.NewRegistry()
-	s2, err := NewResultStore(reg2, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s2.Get("k1")
-	if !ok {
-		t.Fatal("restarted store missed the spilled key")
-	}
-	want, _ := json.Marshal(res)
-	have, _ := json.Marshal(got)
-	if string(want) != string(have) {
-		t.Errorf("disk round trip changed the result:\n got %s\nwant %s", have, want)
-	}
-	snap := reg2.Snapshot()
-	if snap["pipeline.store.disk_hits"] != 1 || snap["pipeline.store.hits"] != 0 {
-		t.Errorf("disk_hits/hits = %d/%d, want 1/0", snap["pipeline.store.disk_hits"], snap["pipeline.store.hits"])
-	}
-	// The disk hit promoted the entry; the next Get is a memory hit.
-	if _, ok := s2.Get("k1"); !ok {
-		t.Fatal("promoted key missed")
-	}
-	if snap := reg2.Snapshot(); snap["pipeline.store.hits"] != 1 {
-		t.Errorf("promotion did not land in memory (hits = %d)", snap["pipeline.store.hits"])
-	}
-	// Promotion must not rewrite the spill file.
-	if reg2.Snapshot()["pipeline.store.spill_writes"] != 0 {
-		t.Error("disk-hit promotion rewrote the spill file")
-	}
-}
-
-func TestResultStoreCorruptSpillIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s, err := NewResultStore(reg, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("bad"); ok {
-		t.Fatal("corrupt spill file was served")
-	}
-	snap := reg.Snapshot()
-	if snap["pipeline.store.disk_errors"] != 1 || snap["pipeline.store.misses"] != 1 {
-		t.Errorf("disk_errors/misses = %d/%d, want 1/1", snap["pipeline.store.disk_errors"], snap["pipeline.store.misses"])
+func TestNewResultStoreRejectsDir(t *testing.T) {
+	if _, err := NewResultStore(nil, 0, "results"); err == nil || !strings.Contains(err.Error(), "memory-only") {
+		t.Errorf("NewResultStore with a dir: err = %v, want a memory-only error", err)
 	}
 }

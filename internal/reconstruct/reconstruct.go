@@ -131,9 +131,10 @@ func MatchName(m interleave.MatchMode) string {
 	return "prefix"
 }
 
-// defaultMaxNodes bounds witness-enumeration work when the caller sets no
-// explicit budget.
-const defaultMaxNodes = 1 << 20
+// maxWitnessNodes bounds the DFS node expansions of witness enumeration.
+// Hitting the budget truncates Witnesses but never the count, which comes
+// from the DP.
+const maxWitnessNodes = 1 << 20
 
 // Options configures a reconstruction. The zero value is exact-mode
 // counting with prefix match semantics and no witness enumeration.
@@ -142,13 +143,10 @@ type Options struct {
 	BeamWidth int                  // beam mode: live matched-prefix cells kept per state (>= 1)
 	Match     interleave.MatchMode // Prefix (default) or Exact observation semantics
 	// MaxWitnesses caps how many consistent executions the exact engine
-	// enumerates (0 = count only). Witness order is deterministic: DFS in
-	// product edge order from the initial states.
+	// enumerates (0 = count only) within a budget of 2^20 DFS node
+	// expansions. Witness order is deterministic: DFS in product edge
+	// order from the initial states.
 	MaxWitnesses int
-	// MaxNodes bounds DFS node expansions during witness enumeration
-	// (0 = defaultMaxNodes). Hitting the budget truncates Witnesses but
-	// never the count, which comes from the DP.
-	MaxNodes int
 }
 
 func (o Options) validate() error {
@@ -169,9 +167,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxWitnesses < 0 {
 		return fmt.Errorf("reconstruct: MaxWitnesses must be >= 0 (got %d)", o.MaxWitnesses)
-	}
-	if o.MaxNodes < 0 {
-		return fmt.Errorf("reconstruct: MaxNodes must be >= 0 (got %d)", o.MaxNodes)
 	}
 	return nil
 }
@@ -261,7 +256,7 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 	}
 
 	if opt.MaxWitnesses > 0 {
-		enumerateWitnesses(p, ctr, opt, res)
+		enumerateWitnesses(p, ctr, opt.MaxWitnesses, maxWitnessNodes, res)
 	}
 	return res, nil
 }
@@ -269,12 +264,8 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 // enumerateWitnesses walks the lattice depth-first, taking only steps
 // whose successor still has a positive consistent-completion count (the
 // branch-and-bound prune: a zero bound means the subtree holds no
-// witness). It stops at MaxWitnesses traces or the node budget.
-func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, opt Options, res *Result) {
-	maxNodes := opt.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = defaultMaxNodes
-	}
+// witness). It stops at maxWitnesses traces or after maxNodes expansions.
+func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, maxWitnesses, maxNodes int, res *Result) {
 	k := len(ctr.Observed())
 	isStop := make([]bool, p.NumStates())
 	for _, s := range p.Stop() {
@@ -289,7 +280,7 @@ func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, opt Opti
 		}
 		if isStop[u] && j == k {
 			res.Witnesses = append(res.Witnesses, append([]flow.IndexedMsg(nil), trace...))
-			if len(res.Witnesses) >= opt.MaxWitnesses {
+			if len(res.Witnesses) >= maxWitnesses {
 				return false
 			}
 		}

@@ -97,7 +97,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: Beam, BeamWidth: 2, MaxWitnesses: 1},
 		{Mode: Mode(9)},
 		{MaxWitnesses: -1},
-		{MaxNodes: -1},
 	}
 	for _, opt := range bad {
 		if _, err := Reconstruct(p, pr, opt); err == nil {
@@ -246,15 +245,23 @@ func TestWitnessCapAndNodeBudget(t *testing.T) {
 	if res.Ambiguity.Cmp(big.NewInt(6)) != 0 {
 		t.Errorf("Ambiguity = %v, want 6 (the cap truncates witnesses, never the count)", res.Ambiguity)
 	}
-	res, err = Reconstruct(p, pr, Options{MaxWitnesses: 100, MaxNodes: 3})
+	traced, err := pr.Validate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Witnesses) >= 6 {
-		t.Errorf("node budget 3 should truncate enumeration, got %d witnesses", len(res.Witnesses))
+	ctr, err := p.NewCounter(traced, nil, interleave.Prefix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Ambiguity.Cmp(big.NewInt(6)) != 0 {
-		t.Errorf("Ambiguity = %v, want 6 under a node budget", res.Ambiguity)
+	budgeted := &Result{}
+	enumerateWitnesses(p, ctr, 100, 3, budgeted)
+	if len(budgeted.Witnesses) >= 6 {
+		t.Errorf("node budget 3 should truncate enumeration, got %d witnesses", len(budgeted.Witnesses))
+	}
+	full := &Result{}
+	enumerateWitnesses(p, ctr, 100, maxWitnessNodes, full)
+	if len(full.Witnesses) != 6 {
+		t.Errorf("full budget: got %d witnesses, want all 6", len(full.Witnesses))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
-	"tracescale/internal/pipeline"
 	"tracescale/internal/spec"
 )
 
@@ -117,46 +116,5 @@ func TestBatchErrorsAndLimits(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/select/batch", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET batch status = %d, want 405", rec.Code)
-	}
-}
-
-// TestStoreSpillSurvivesRestart drives the disk spill end to end at the
-// handler layer: a second server over the same store directory answers a
-// repeated selection byte-identically without running a single scan.
-func TestStoreSpillSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	reg1 := obs.NewRegistry()
-	store1, err := pipeline.NewResultStore(reg1, 8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1 := NewHandler(Config{Registry: reg1, Store: store1})
-	rec1 := post(t, h1, toyBody(t, nil))
-	if rec1.Code != http.StatusOK {
-		t.Fatalf("first server status = %d", rec1.Code)
-	}
-
-	reg2 := obs.NewRegistry()
-	store2, err := pipeline.NewResultStore(reg2, 8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := NewHandler(Config{Registry: reg2, Store: store2})
-	rec2 := post(t, h2, toyBody(t, nil))
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("restarted server status = %d", rec2.Code)
-	}
-	if !bytes.Equal(rec1.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Errorf("restarted server answered differently\n got %s\nwant %s", rec2.Body, rec1.Body)
-	}
-	snap := reg2.Snapshot()
-	if snap["pipeline.store.disk_hits"] != 1 {
-		t.Errorf("pipeline.store.disk_hits = %d, want 1", snap["pipeline.store.disk_hits"])
-	}
-	if snap["core.select.runs"] != 0 {
-		t.Errorf("restarted server ran %d scans for a spilled result, want 0", snap["core.select.runs"])
-	}
-	if snap["pipeline.session.builds"] != 0 {
-		t.Errorf("restarted server built %d sessions for a spilled result, want 0", snap["pipeline.session.builds"])
 	}
 }

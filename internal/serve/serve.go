@@ -23,8 +23,7 @@
 //
 // Selections are answered store-first: a content-addressed ResultStore
 // (keyed by instance fingerprint + normalized config) is consulted before
-// the session layer, so a repeated selection — even across process
-// restarts when the store spills to disk — skips the scan entirely.
+// the session layer, so a repeated selection skips the scan entirely.
 // POST /select/batch runs many option sets against one scenario in a
 // single request, in order; a duplicate config is answered by the store
 // entry its first occurrence left, so M distinct configs cost exactly M
@@ -222,8 +221,7 @@ func NewHandler(cfg Config) *Handler {
 		cfg.Cache = pipeline.NewCacheObs(cfg.Registry, 0)
 	}
 	if cfg.Store == nil {
-		// In-memory only: the error path is the spill directory, which the
-		// default store does not use.
+		// The only error is a non-empty dir, which this call does not pass.
 		cfg.Store, _ = pipeline.NewResultStore(cfg.Registry, defaultStoreCap, "")
 	}
 	h := &Handler{
